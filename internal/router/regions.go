@@ -136,9 +136,11 @@ func (r *Regions) MarkDown(name string) error { return r.setState(name, RegionDo
 func (r *Regions) MarkUp(name string) error { return r.setState(name, RegionUp) }
 
 // Remove deregisters a region entirely. It refuses while calls are in
-// flight: the removal is published first (fencing new picks), then the
-// reservation count is rechecked — if stragglers hold reservations the
-// removal rolls back and the caller retries after they drain.
+// flight: a Down generation is published first (fencing new picks),
+// then the reservation count is rechecked — if stragglers hold
+// reservations the fence rolls back and the caller retries after they
+// drain. The region stays registered until the recheck passes, so
+// Inflight and the /stats view never lose sight of a live reservation.
 func (r *Regions) Remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -148,15 +150,17 @@ func (r *Regions) Remove(name string) error {
 		return fmt.Errorf("router: unknown region %q", name)
 	}
 	e := old.slots[i].e
-	slots := r.rebuild()
-	r.publish(append(slots[:i:i], slots[i+1:]...))
+	fence := r.rebuild()
+	fence[i].state = RegionDown
+	r.publish(fence)
 	if n := e.inflight.Load(); n != 0 {
-		// Publish-then-recheck: the removal fenced new picks, but a
+		// Publish-then-recheck: the fence stopped new picks, but a
 		// pick that reserved before the flip may still be in flight.
 		// Roll the old generation back and report the conflict.
-		r.publish(slots)
+		r.publish(old.slots)
 		return fmt.Errorf("router: region %q has %d calls in flight", name, n)
 	}
+	r.publish(append(fence[:i:i], fence[i+1:]...))
 	return nil
 }
 

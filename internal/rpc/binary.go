@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"accelcloud/internal/wire"
 )
@@ -11,7 +12,7 @@ import (
 // The binary transport: the same Client surface (Offload, Execute,
 // OffloadBatch, Health) over length-prefixed frames on one persistent
 // multiplexed TCP connection instead of one HTTP request per call. It
-// plugs in underneath post(), so the whole resilience ladder —
+// plugs in underneath post, so the whole resilience ladder —
 // Timeout, RetryPolicy, HedgePolicy, the counters — composes with it
 // unchanged.
 
@@ -31,75 +32,41 @@ func (c *Client) wireClient() (*wire.Client, error) {
 	return c.bin, c.binErr
 }
 
-// binPost mirrors postJSON over the framed transport: encode the
-// request payload, send one frame, map the answering frame back to the
-// caller's out value. FrameError responses become *StatusError with
-// the same HTTP-equivalent code the JSON compat mode would have
-// produced, so the retry budget and the callers classify failures
-// identically on both transports.
-func (c *Client) binPost(ctx context.Context, path string, in, out any) error {
+// binPost mirrors postJSON over the framed transport: one typed send
+// (wire.Client encodes into its own pooled scratch), one answering
+// frame, one typed decode — the request and the response never pass
+// through an interface, and the deadline travels as a value, so a
+// steady-state call allocates only what it returns. FrameError
+// responses become *StatusError with the same HTTP-equivalent code the
+// JSON compat mode would have produced, so the retry budget and the
+// callers classify failures identically on both transports.
+func binPost[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], deadline time.Time, in Req) (Resp, error) {
+	var zero Resp
 	bc, err := c.wireClient()
 	if err != nil {
-		return err
+		return zero, err
 	}
-	var (
-		ftype, flags byte
-		payload      []byte
-	)
-	switch req := in.(type) {
-	case OffloadRequest:
-		ftype, flags = wire.FrameRequest, wire.MethodOffload
-		payload = wire.AppendOffloadRequest(nil, req)
-	case ExecuteRequest:
-		ftype, flags = wire.FrameRequest, wire.MethodExecute
-		payload = wire.AppendExecuteRequest(nil, req)
-	case BatchRequest:
-		ftype, flags = wire.FrameBatch, 0
-		payload = wire.AppendBatchRequest(nil, req)
-	default:
-		return fmt.Errorf("rpc: no binary encoding for %T (path %s)", in, path)
+	if m.send == nil {
+		return zero, fmt.Errorf("rpc: no binary encoding for %T (path %s)", in, m.path)
 	}
-	f, err := bc.Call(ctx, ftype, flags, payload)
+	f, err := m.send(bc, ctx, deadline, in)
 	if err != nil {
-		return fmt.Errorf("rpc: %s: %w", path, err)
+		return zero, fmt.Errorf("rpc: %s: %w", m.path, err)
 	}
 	switch f.Type {
 	case wire.FrameError:
 		e, derr := wire.DecodeErrorFrame(f.Payload)
 		if derr != nil {
-			return fmt.Errorf("rpc: %s: undecodable error frame: %w", path, derr)
+			return zero, fmt.Errorf("rpc: %s: undecodable error frame: %w", m.path, derr)
 		}
-		return fmt.Errorf("rpc: %s: %w", path, &StatusError{Code: e.Code, Body: e.Message})
-	case wire.FrameResponse:
-		switch resp := out.(type) {
-		case *OffloadResponse:
-			v, derr := wire.DecodeOffloadResponse(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("rpc: decode response: %w", derr)
-			}
-			*resp = v
-		case *ExecuteResponse:
-			v, derr := wire.DecodeExecuteResponse(f.Payload)
-			if derr != nil {
-				return fmt.Errorf("rpc: decode response: %w", derr)
-			}
-			*resp = v
-		default:
-			return fmt.Errorf("rpc: no binary decoding for %T (path %s)", out, path)
-		}
-		return nil
-	case wire.FrameBatch:
-		resp, ok := out.(*BatchResponse)
-		if !ok {
-			return fmt.Errorf("rpc: batch frame answering non-batch call (path %s)", path)
-		}
-		v, derr := wire.DecodeBatchResponse(f.Payload)
+		return zero, fmt.Errorf("rpc: %s: %w", m.path, &StatusError{Code: e.Code, Body: e.Message})
+	case m.answer:
+		out, derr := m.decode(f.Payload)
 		if derr != nil {
-			return fmt.Errorf("rpc: decode batch response: %w", derr)
+			return zero, fmt.Errorf("rpc: decode response: %w", derr)
 		}
-		*resp = v
-		return nil
+		return out, nil
 	default:
-		return fmt.Errorf("rpc: %s: unexpected frame type %d", path, f.Type)
+		return zero, fmt.Errorf("rpc: %s: unexpected frame type %d", m.path, f.Type)
 	}
 }

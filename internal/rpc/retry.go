@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -173,15 +172,33 @@ func IsUnavailable(err error) bool {
 // enough that the retry lands while the re-route window is open.
 const queueFullBackoff = time.Millisecond
 
-// attempts runs post under the client's retry budget. out is only
-// written by a successful decode, so a failed attempt never leaves a
-// half-decoded response behind.
-func (c *Client) attempts(ctx context.Context, path string, in, out any) error {
+// sleep waits d, or until ctx ends or the call's deadline passes, and
+// reports whether the full wait elapsed with time to spare — false
+// means the call is out of time.
+func sleep(ctx context.Context, deadline time.Time, d time.Duration) bool {
+	inTime := true
+	if left := time.Until(deadline); left <= d {
+		d, inTime = left, false
+	}
+	if d > 0 {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(d):
+		}
+	}
+	return inTime
+}
+
+// attempts runs post under the client's retry budget; deadline bounds
+// the whole chain.
+func attempts[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], deadline time.Time, in Req) (Resp, error) {
 	p := c.Retry
 	budget := 1
 	if p != nil && p.MaxAttempts > 1 {
 		budget = p.MaxAttempts
 	}
+	var out Resp
 	var err error
 	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
@@ -192,54 +209,60 @@ func (c *Client) attempts(ctx context.Context, path string, in, out any) error {
 				// full exponential backoff wastes the re-route window.
 				wait = queueFullBackoff
 			}
-			select {
-			case <-ctx.Done():
-				return err
-			case <-time.After(wait):
+			if !sleep(ctx, deadline, wait) {
+				return out, err
 			}
 			// Counted only once the backoff survives the context: a
 			// call cancelled mid-wait never re-sent anything.
 			c.retries.Add(1)
 		}
-		err = c.post(ctx, path, in, out)
+		out, err = post(ctx, c, m, deadline, in)
 		if err == nil {
-			return nil
+			return out, nil
 		}
 		if !retryable(err) || ctx.Err() != nil {
-			return err
+			return out, err
 		}
 	}
-	return err
+	return out, err
 }
 
 // call is the resilient entry point every client method funnels
 // through: it bounds the whole call (retries and hedges included) with
 // the configured deadline, then runs the retry budget — hedged with a
-// delayed second lane when a HedgePolicy is set.
-func (c *Client) call(ctx context.Context, path string, in, out any) error {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
-	if c.Hedge == nil || c.Hedge.Delay <= 0 {
-		return c.attempts(ctx, path, in, out)
+// delayed second lane when a HedgePolicy is set. The deadline is
+// computed once and handed down as a value. The framed transport
+// derives no context from it: the wire wait runs a pooled timer next to
+// the caller's own ctx. The JSON transport needs the deadline inside
+// the context net/http watches, so there ctx carries it as well.
+func call[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], in Req) (Resp, error) {
+	deadline := time.Now().Add(c.timeout())
+	if !c.binary() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
 	}
-	return c.hedged(ctx, path, in, out)
+	if c.Hedge != nil && c.Hedge.Delay > 0 {
+		return hedged(ctx, c, m, deadline, in)
+	}
+	return attempts(ctx, c, m, deadline, in)
 }
 
 // hedged races a primary attempt chain against a second one launched
-// after the hedge delay. Each lane decodes into its own value so the
-// lanes never share out; the winner's value is copied into out.
-func (c *Client) hedged(ctx context.Context, path string, in, out any) error {
+// after the hedge delay. Each lane returns its own value, so the lanes
+// share nothing; the winner's is returned.
+func hedged[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], deadline time.Time, in Req) (Resp, error) {
 	lctx, lcancel := context.WithCancel(ctx)
 	defer lcancel()
 	type lane struct {
-		out   any
+		out   Resp
 		err   error
 		hedge bool
 	}
 	results := make(chan lane, 2)
 	run := func(hedge bool) {
-		o := reflect.New(reflect.TypeOf(out).Elem()).Interface()
-		results <- lane{out: o, err: c.attempts(lctx, path, in, o), hedge: hedge}
+		out, err := attempts(lctx, c, m, deadline, in)
+		results <- lane{out: out, err: err, hedge: hedge}
 	}
 	go run(false)
 	timer := time.NewTimer(c.Hedge.Delay)
@@ -268,10 +291,9 @@ func (c *Client) hedged(ctx context.Context, path string, in, out any) error {
 				if l.hedge && !primaryResolved {
 					c.hedgeWins.Add(1)
 				}
-				reflect.ValueOf(out).Elem().Set(reflect.ValueOf(l.out).Elem())
 				// The losing lane is cancelled by the deferred lcancel
 				// and drains into the buffered channel.
-				return nil
+				return l.out, nil
 			}
 			if firstErr == nil {
 				firstErr = l.err
@@ -281,7 +303,8 @@ func (c *Client) hedged(ctx context.Context, path string, in, out any) error {
 				// failed before the hedge delay fired — its retries
 				// already consumed the budget, so a hedge would only
 				// repeat the same failure.
-				return firstErr
+				var zero Resp
+				return zero, firstErr
 			}
 		}
 	}

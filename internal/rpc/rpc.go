@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"accelcloud/internal/wire"
+	"accelcloud/internal/workers"
 )
 
 // Paths of the HTTP endpoints.
@@ -318,16 +319,42 @@ func (r *payloadReader) Close() error {
 	return nil
 }
 
+// method describes one RPC on both transports: its HTTP path for the
+// JSON mode, and how the framed mode sends it and decodes the answer.
+// The type parameters keep the binary path free of interface boxing;
+// send is nil for a call the framed protocol has no frame for.
+type method[Req, Resp any] struct {
+	path   string
+	send   func(*wire.Client, context.Context, time.Time, Req) (wire.Frame, error)
+	decode func([]byte) (Resp, error)
+	// answer is the frame type that carries the response.
+	answer byte
+}
+
+var (
+	offloadMethod = method[OffloadRequest, OffloadResponse]{
+		PathOffload, (*wire.Client).Offload, wire.DecodeOffloadResponse, wire.FrameResponse}
+	executeMethod = method[ExecuteRequest, ExecuteResponse]{
+		PathExecute, (*wire.Client).Execute, wire.DecodeExecuteResponse, wire.FrameResponse}
+	offloadBatchMethod = method[BatchRequest, BatchResponse]{
+		PathOffloadBatch, (*wire.Client).OffloadBatch, wire.DecodeBatchResponse, wire.FrameBatch}
+	executeBatchMethod = method[ExecuteBatchRequest, ExecuteBatchResponse]{path: PathExecuteBatch}
+)
+
 // post sends one request over the configured transport. A bin://
 // BaseURL routes through the binary framed protocol (binary.go);
 // otherwise the request is marshaled as JSON into a pooled buffer that
 // is recycled once the HTTP transport releases it — on the front-end's
-// proxy hop this runs once per offloaded request.
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
+// proxy hop this runs once per offloaded request. The response comes
+// back by value, so a failed attempt never leaves a half-decoded one
+// behind.
+func post[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], deadline time.Time, in Req) (Resp, error) {
 	if c.binary() {
-		return c.binPost(ctx, path, in, out)
+		return binPost(ctx, c, m, deadline, in)
 	}
-	return c.postJSON(ctx, path, in, out)
+	var out Resp
+	err := c.postJSON(ctx, m.path, in, &out)
+	return out, err
 }
 
 // binary reports whether the client speaks the framed protocol.
@@ -382,8 +409,8 @@ func (c *Client) Offload(ctx context.Context, req OffloadRequest) (OffloadRespon
 		return OffloadResponse{}, err
 	}
 	c.stampIdemKey(&req)
-	var resp OffloadResponse
-	if err := c.call(ctx, PathOffload, req, &resp); err != nil {
+	resp, err := call(ctx, c, &offloadMethod, req)
+	if err != nil {
 		return OffloadResponse{}, err
 	}
 	if resp.Error != "" {
@@ -414,8 +441,8 @@ func (c *Client) OffloadBatch(ctx context.Context, calls []OffloadRequest) ([]Ba
 		}
 		c.stampIdemKey(&batch.Calls[i])
 	}
-	var resp BatchResponse
-	if err := c.call(ctx, PathOffloadBatch, batch, &resp); err != nil {
+	resp, err := call(ctx, c, &offloadBatchMethod, batch)
+	if err != nil {
 		return nil, err
 	}
 	if len(resp.Results) != len(calls) {
@@ -438,13 +465,18 @@ func (c *Client) stampIdemKey(req *OffloadRequest) {
 	if req.IdemKey != "" || (c.Retry == nil && c.Hedge == nil) {
 		return
 	}
-	req.IdemKey = fmt.Sprintf("%x-%x", idemPrefix, idemSeq.Add(1))
+	// "%x-%x" of the prefix and the sequence number, without fmt.
+	var buf [2*16 + 1]byte
+	key := strconv.AppendUint(buf[:0], idemPrefix, 16)
+	key = append(key, '-')
+	key = strconv.AppendUint(key, idemSeq.Add(1), 16)
+	req.IdemKey = string(key)
 }
 
 // Execute sends a state directly to a surrogate.
 func (c *Client) Execute(ctx context.Context, req ExecuteRequest) (ExecuteResponse, error) {
-	var resp ExecuteResponse
-	if err := c.call(ctx, PathExecute, req, &resp); err != nil {
+	resp, err := call(ctx, c, &executeMethod, req)
+	if err != nil {
 		return ExecuteResponse{}, err
 	}
 	if resp.Error != "" {
@@ -456,8 +488,9 @@ func (c *Client) Execute(ctx context.Context, req ExecuteRequest) (ExecuteRespon
 // ExecuteBatch sends a batch of states to a surrogate in one round
 // trip. Results arrive in call order; per-call failures travel inside
 // each result's Error field, so the returned error is transport-level
-// only. Over the binary transport the calls fan out concurrently on
-// the multiplexed connection — same amortization, no extra sockets.
+// only. Over the binary transport the calls fan out concurrently (on
+// reusable workers) on the multiplexed connection — same amortization,
+// no extra sockets.
 func (c *Client) ExecuteBatch(ctx context.Context, reqs []ExecuteRequest) ([]ExecuteResponse, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -467,23 +500,17 @@ func (c *Client) ExecuteBatch(ctx context.Context, reqs []ExecuteRequest) ([]Exe
 	}
 	if c.binary() {
 		resps := make([]ExecuteResponse, len(reqs))
-		var wg sync.WaitGroup
-		wg.Add(len(reqs))
-		for i := range reqs {
-			go func(i int) {
-				defer wg.Done()
-				resp, err := c.Execute(ctx, reqs[i])
-				if err != nil && resp.Error == "" {
-					resp.Error = err.Error()
-				}
-				resps[i] = resp
-			}(i)
-		}
-		wg.Wait()
+		workers.Each(len(reqs), func(i int) {
+			resp, err := c.Execute(ctx, reqs[i])
+			if err != nil && resp.Error == "" {
+				resp.Error = err.Error()
+			}
+			resps[i] = resp
+		})
 		return resps, nil
 	}
-	var out ExecuteBatchResponse
-	if err := c.call(ctx, PathExecuteBatch, ExecuteBatchRequest{Calls: reqs}, &out); err != nil {
+	out, err := call(ctx, c, &executeBatchMethod, ExecuteBatchRequest{Calls: reqs})
+	if err != nil {
 		return nil, err
 	}
 	if len(out.Results) != len(reqs) {

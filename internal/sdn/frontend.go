@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"accelcloud/internal/serve"
 	"accelcloud/internal/trace"
 	"accelcloud/internal/wire"
+	"accelcloud/internal/workers"
 )
 
 // BackendState is the lifecycle state of one registered surrogate.
@@ -327,16 +327,10 @@ func (f *FrontEnd) handleOffloadBatch(w http.ResponseWriter, r *http.Request) {
 // injection) is identical whether calls arrive alone or chained.
 func (f *FrontEnd) offloadBatch(ctx context.Context, batch rpc.BatchRequest) rpc.BatchResponse {
 	results := make([]rpc.BatchResult, len(batch.Calls))
-	var wg sync.WaitGroup
-	for i, call := range batch.Calls {
-		wg.Add(1)
-		go func(i int, call rpc.OffloadRequest) {
-			defer wg.Done()
-			resp, code := f.Offload(ctx, call)
-			results[i] = rpc.BatchResult{Code: code, Resp: resp}
-		}(i, call)
-	}
-	wg.Wait()
+	workers.Each(len(batch.Calls), func(i int) {
+		resp, code := f.Offload(ctx, batch.Calls[i])
+		results[i] = rpc.BatchResult{Code: code, Resp: resp}
+	})
 	return rpc.BatchResponse{Results: results}
 }
 

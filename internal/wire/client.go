@@ -35,7 +35,7 @@ func NewClient(addr string) *Client { return &Client{Addr: addr} }
 // get returns a live connection, dialing if none exists or the cached
 // one has broken. The mutex is held across the dial so a thundering
 // herd after a peer restart performs one dial, not one per caller.
-func (c *Client) get(ctx context.Context) (*Conn, error) {
+func (c *Client) get(ctx context.Context, deadline time.Time) (*Conn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != nil && !c.conn.Broken() {
@@ -49,7 +49,11 @@ func (c *Client) get(ctx context.Context) (*Conn, error) {
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	dctx, cancel := context.WithTimeout(ctx, timeout)
+	dialBy := time.Now().Add(timeout)
+	if !deadline.IsZero() && deadline.Before(dialBy) {
+		dialBy = deadline
+	}
+	dctx, cancel := context.WithDeadline(ctx, dialBy)
 	defer cancel()
 	var d net.Dialer
 	nc, err := d.DialContext(dctx, "tcp", c.Addr)
@@ -75,15 +79,47 @@ func (c *Client) invalidate(conn *Conn) {
 // connection; the error is returned to the caller (the rpc retry
 // budget decides whether to re-send).
 func (c *Client) Call(ctx context.Context, ftype, flags byte, payload []byte) (Frame, error) {
-	conn, err := c.get(ctx)
+	return c.call(ctx, time.Time{}, ftype, flags, payload)
+}
+
+func (c *Client) call(ctx context.Context, deadline time.Time, ftype, flags byte, payload []byte) (Frame, error) {
+	conn, err := c.get(ctx, deadline)
 	if err != nil {
 		return Frame{}, err
 	}
-	f, err := conn.Call(ctx, ftype, flags, payload)
+	f, err := conn.call(ctx, deadline, ftype, flags, payload)
 	if err != nil && errors.Is(err, ErrClosed) {
 		c.invalidate(conn)
 	}
 	return f, err
+}
+
+// The typed calls below are the steady-state request path: the
+// message is encoded into pooled scratch, given back when the call
+// returns, and the call's deadline travels as a value — the zero Time
+// means none — so a caller with a per-call timeout derives no context.
+// Past the deadline the call fails with context.DeadlineExceeded.
+
+func send[M any](ctx context.Context, c *Client, deadline time.Time, ftype, flags byte, enc func([]byte, M) []byte, msg M) (Frame, error) {
+	sc := getScratch()
+	defer sc.release()
+	sc.b = enc(sc.b, msg)
+	return c.call(ctx, deadline, ftype, flags, sc.b)
+}
+
+// Offload sends one offload call to a front-end.
+func (c *Client) Offload(ctx context.Context, deadline time.Time, req OffloadRequest) (Frame, error) {
+	return send(ctx, c, deadline, FrameRequest, MethodOffload, AppendOffloadRequest, req)
+}
+
+// Execute sends one direct execution to a surrogate.
+func (c *Client) Execute(ctx context.Context, deadline time.Time, req ExecuteRequest) (Frame, error) {
+	return send(ctx, c, deadline, FrameRequest, MethodExecute, AppendExecuteRequest, req)
+}
+
+// OffloadBatch sends a chain of offload calls in one batch frame.
+func (c *Client) OffloadBatch(ctx context.Context, deadline time.Time, req BatchRequest) (Frame, error) {
+	return send(ctx, c, deadline, FrameBatch, 0, AppendBatchRequest, req)
 }
 
 // Ping round-trips an empty request frame — the binary liveness probe.

@@ -90,6 +90,17 @@ func (c *cur) str() (string, error) {
 	return string(b), nil
 }
 
+// name reads a string from a small vocabulary — a task, server or
+// region name — through the intern table, so steady-state decodes share one
+// copy instead of allocating per message.
+func (c *cur) name() (string, error) {
+	b, err := c.blob()
+	if err != nil {
+		return "", err
+	}
+	return intern(b), nil
+}
+
 // done rejects trailing garbage after a fully decoded message.
 func (c *cur) done() error {
 	if c.remaining() != 0 {
@@ -129,7 +140,7 @@ func appendState(dst []byte, st tasks.State) []byte {
 func decodeState(c *cur) (tasks.State, error) {
 	var st tasks.State
 	var err error
-	if st.Task, err = c.str(); err != nil {
+	if st.Task, err = c.name(); err != nil {
 		return st, err
 	}
 	if st.Size, err = c.sint(); err != nil {
@@ -150,7 +161,7 @@ func appendResult(dst []byte, r tasks.Result) []byte {
 func decodeResult(c *cur) (tasks.Result, error) {
 	var r tasks.Result
 	var err error
-	if r.Task, err = c.str(); err != nil {
+	if r.Task, err = c.name(); err != nil {
 		return r, err
 	}
 	if r.Data, err = c.blob(); err != nil {
@@ -190,7 +201,7 @@ func decodeOffloadRequest(c *cur) (OffloadRequest, error) {
 	if r.IdemKey, err = c.str(); err != nil {
 		return r, err
 	}
-	if r.Origin, err = c.str(); err != nil {
+	if r.Origin, err = c.name(); err != nil {
 		return r, err
 	}
 	if r.SpanID, err = c.uvarint(); err != nil {
@@ -241,7 +252,7 @@ func AppendOffloadResponse(dst []byte, r OffloadResponse) []byte {
 func decodeOffloadResponse(c *cur) (OffloadResponse, error) {
 	var r OffloadResponse
 	var err error
-	if r.Server, err = c.str(); err != nil {
+	if r.Server, err = c.name(); err != nil {
 		return r, err
 	}
 	if r.Group, err = c.sint(); err != nil {
@@ -344,7 +355,7 @@ func DecodeExecuteResponse(b []byte) (ExecuteResponse, error) {
 	if r.CloudMs, err = c.f64(); err != nil {
 		return r, err
 	}
-	if r.Server, err = c.str(); err != nil {
+	if r.Server, err = c.name(); err != nil {
 		return r, err
 	}
 	if r.Error, err = c.str(); err != nil {

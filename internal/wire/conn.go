@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Conn is the client side of one multiplexed connection: any number of
@@ -18,11 +19,7 @@ import (
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
-
-	// wmu serializes frame writes; wbuf is the reused encode scratch.
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wbuf []byte
+	w  frameWriter
 
 	nextID atomic.Uint64
 
@@ -32,6 +29,41 @@ type Conn struct {
 	closed  bool
 
 	maxFrame int
+}
+
+// slotPool holds call slots: the one-frame channel an in-flight call
+// waits on. Slots are pooled across calls and connections, which is
+// safe because of one rule: whoever removes a slot from Conn.pending
+// (under Conn.mu) owns it. The read loop and fail remove it and then
+// send exactly one frame into the one-slot buffer, so they never
+// block; the caller takes it back either by receiving that frame or by
+// removing the slot itself, and only then returns it to the pool —
+// empty, with no sender left that could reach it.
+var slotPool = sync.Pool{New: func() any { return make(chan Frame, 1) }}
+
+// timerPool recycles the deadline timers of calls that carry their
+// deadline as a value instead of a derived context. A timer goes back
+// stopped and with an empty channel.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timerPool.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func putTimer(t *time.Timer) {
+	if !t.Stop() {
+		// Fired. Under GODEBUG=asynctimerchan=1 the tick may still sit
+		// in the channel; the next borrower must not read it.
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	timerPool.Put(t)
 }
 
 // NewConn wraps an established connection and starts its read loop.
@@ -48,7 +80,7 @@ func NewConn(nc net.Conn, max int) *Conn {
 	c := &Conn{
 		nc:       nc,
 		br:       bufio.NewReaderSize(nc, 64<<10),
-		bw:       bufio.NewWriterSize(nc, 64<<10),
+		w:        frameWriter{nc: nc},
 		pending:  make(map[uint64]chan Frame),
 		maxFrame: max,
 	}
@@ -68,7 +100,7 @@ func (c *Conn) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[f.StreamID]
+		slot, ok := c.pending[f.StreamID]
 		if ok {
 			delete(c.pending, f.StreamID)
 		}
@@ -76,12 +108,14 @@ func (c *Conn) readLoop() {
 		if ok {
 			// Buffered: an abandoned caller (context cancelled between
 			// our delete and its own) never blocks the read loop.
-			ch <- f
+			slot <- f
 		}
 	}
 }
 
-// fail marks the connection dead and wakes every pending call.
+// fail marks the connection dead and wakes every pending call with the
+// zero Frame — a type no decoded frame can carry — which sends the
+// caller to c.err.
 func (c *Conn) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -91,8 +125,8 @@ func (c *Conn) fail(err error) {
 	c.pending = make(map[uint64]chan Frame)
 	c.mu.Unlock()
 	_ = c.nc.Close()
-	for _, ch := range pending {
-		close(ch)
+	for _, slot := range pending {
+		slot <- Frame{}
 	}
 }
 
@@ -116,60 +150,77 @@ func (c *Conn) Broken() bool {
 	return c.err != nil
 }
 
-// writeFrame serializes one frame onto the wire (single buffered write
-// plus flush, under the write mutex).
-func (c *Conn) writeFrame(f Frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = AppendFrame(c.wbuf[:0], f)
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
 // Call sends one frame and waits for the frame answering its stream
 // id. The frame's StreamID is assigned here; Type, Flags, and Payload
-// come from the caller. On context cancellation the stream is
-// abandoned (a late response is dropped by the read loop) and the
-// context error returned.
+// come from the caller, who may reuse payload as soon as Call returns.
+// On context cancellation the stream is abandoned (a late response is
+// dropped by the read loop) and the context error returned.
 func (c *Conn) Call(ctx context.Context, ftype, flags byte, payload []byte) (Frame, error) {
+	return c.call(ctx, time.Time{}, ftype, flags, payload)
+}
+
+// call is Call with the deadline as a value: a non-zero deadline ends
+// the wait with context.DeadlineExceeded, exactly as a context derived
+// with that deadline would, without deriving one.
+func (c *Conn) call(ctx context.Context, deadline time.Time, ftype, flags byte, payload []byte) (Frame, error) {
 	id := c.nextID.Add(1)
-	ch := make(chan Frame, 1)
+	slot := slotPool.Get().(chan Frame)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		slotPool.Put(slot)
 		return Frame{}, err
 	}
-	c.pending[id] = ch
+	c.pending[id] = slot
 	c.mu.Unlock()
 
-	if err := c.writeFrame(Frame{Type: ftype, Flags: flags, StreamID: id, Payload: payload}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		// A write error poisons the buffered writer state for every
-		// stream; fail the connection so callers redial.
+	if err := c.w.write(Frame{Type: ftype, Flags: flags, StreamID: id, Payload: payload}); err != nil {
+		c.abandon(id, slot)
+		// A write error poisons the stream for every call on it; fail
+		// the connection so callers redial.
 		c.fail(fmt.Errorf("%w: write: %v", ErrClosed, err))
 		return Frame{}, fmt.Errorf("wire: write frame: %w", err)
 	}
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			return Frame{}, err
-		}
-		return f, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return Frame{}, ctx.Err()
+	var timer *time.Timer
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer = getTimer(time.Until(deadline))
+		expired = timer.C
 	}
+	var f Frame
+	var err error
+	select {
+	case f = <-slot:
+		slotPool.Put(slot)
+		if f.Type == 0 {
+			c.mu.Lock()
+			err = c.err
+			c.mu.Unlock()
+		}
+	case <-ctx.Done():
+		c.abandon(id, slot)
+		err = ctx.Err()
+	case <-expired:
+		c.abandon(id, slot)
+		err = context.DeadlineExceeded
+	}
+	if timer != nil {
+		putTimer(timer)
+	}
+	return f, err
+}
+
+// abandon gives up on a stream and recycles its slot. If the read loop
+// or fail already took the slot out of pending, its one send is on the
+// way (or in the buffer): take it, so the slot goes back empty.
+func (c *Conn) abandon(id uint64, slot chan Frame) {
+	c.mu.Lock()
+	_, mine := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if !mine {
+		<-slot
+	}
+	slotPool.Put(slot)
 }

@@ -65,22 +65,36 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// parseBody decodes the post-length portion of a frame (header +
-// payload). The payload is a sub-slice of body.
-func parseBody(body []byte) (Frame, error) {
+// maxHeader is the longest frame header: version, type, flags and a
+// full-width stream id varint.
+const maxHeader = 3 + binary.MaxVarintLen64
+
+// parseHeader decodes the header at the start of a frame body and
+// reports how many bytes it occupies; the payload is whatever follows.
+func parseHeader(body []byte) (Frame, int, error) {
 	if len(body) < 3 {
-		return Frame{}, fmt.Errorf("%w: header truncated", ErrBadFrame)
+		return Frame{}, 0, fmt.Errorf("%w: header truncated", ErrBadFrame)
 	}
 	f := Frame{Version: body[0], Type: body[1], Flags: body[2]}
 	if err := validHeader(f.Version, f.Type, f.Flags); err != nil {
-		return Frame{}, err
+		return Frame{}, 0, err
 	}
 	sid, n := binary.Uvarint(body[3:])
 	if n <= 0 {
-		return Frame{}, fmt.Errorf("%w: bad stream id", ErrBadFrame)
+		return Frame{}, 0, fmt.Errorf("%w: bad stream id", ErrBadFrame)
 	}
 	f.StreamID = sid
-	if payload := body[3+n:]; len(payload) > 0 {
+	return f, 3 + n, nil
+}
+
+// parseBody decodes the post-length portion of a frame (header +
+// payload). The payload is a sub-slice of body.
+func parseBody(body []byte) (Frame, error) {
+	f, n, err := parseHeader(body)
+	if err != nil {
+		return Frame{}, err
+	}
+	if payload := body[n:]; len(payload) > 0 {
 		f.Payload = payload
 	}
 	return f, nil
@@ -122,10 +136,13 @@ const readChunk = 64 << 10
 
 // ReadFrame reads one frame from a buffered stream. The declared
 // length is capped at max (0 selects DefaultMaxFrame) before anything
-// is allocated, and the body buffer grows chunk by chunk as bytes
+// is allocated, and the payload buffer grows chunk by chunk as bytes
 // arrive, so a peer declaring a huge frame and stalling cannot make
-// the reader pre-allocate the declared size. io.EOF is returned
-// unwrapped on a clean end of stream.
+// the reader pre-allocate the declared size. The header is parsed in
+// the reader's own buffer, so only the payload is allocated — a frame
+// without one (a ping, its answer) allocates nothing — and the caller
+// owns that payload outright: it is never reused for a later frame.
+// io.EOF is returned unwrapped on a clean end of stream.
 func ReadFrame(br *bufio.Reader, max int) (Frame, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -140,16 +157,35 @@ func ReadFrame(br *bufio.Reader, max int) (Frame, error) {
 	if length > uint64(max) {
 		return Frame{}, fmt.Errorf("%w: declared %d > cap %d", ErrFrameTooLarge, length, max)
 	}
-	body := make([]byte, 0, min(int(length), readChunk))
-	for uint64(len(body)) < length {
-		chunk := min(int(length)-len(body), readChunk)
-		start := len(body)
-		body = append(body, make([]byte, chunk)...)
-		if _, err := io.ReadFull(br, body[start:]); err != nil {
+	hdr, err := br.Peek(min(int(length), maxHeader))
+	if err != nil {
+		return Frame{}, fmt.Errorf("%w: body truncated: %v", ErrShortFrame, err)
+	}
+	f, n, herr := parseHeader(hdr)
+	if herr != nil {
+		// A truncated frame reads as short whatever its header says,
+		// so consume the declared length before judging the header.
+		if _, err := br.Discard(int(length)); err != nil {
+			return Frame{}, fmt.Errorf("%w: body truncated: %v", ErrShortFrame, err)
+		}
+		return Frame{}, herr
+	}
+	_, _ = br.Discard(n) // n bytes were just peeked
+	size := int(length) - n
+	if size == 0 {
+		return f, nil
+	}
+	payload := make([]byte, 0, min(size, readChunk))
+	for len(payload) < size {
+		chunk := min(size-len(payload), readChunk)
+		start := len(payload)
+		payload = append(payload, make([]byte, chunk)...)
+		if _, err := io.ReadFull(br, payload[start:]); err != nil {
 			return Frame{}, fmt.Errorf("%w: body truncated: %v", ErrShortFrame, err)
 		}
 	}
-	return parseBody(body)
+	f.Payload = payload
+	return f, nil
 }
 
 // WriteFrame encodes f into buf (a reusable scratch slice, may be nil)

@@ -13,7 +13,12 @@ import (
 	"time"
 
 	"accelcloud/internal/tasks"
+	"accelcloud/internal/testkit"
 )
+
+// Every test below starts with testkit.NoLeak: once its servers and
+// clients are closed, the goroutine count must be back where it began
+// — connection loops, read loops and dispatch workers included.
 
 // startEchoServer serves an Offload handler that echoes each call's
 // state data back (after a small random delay, so stream completion
@@ -44,6 +49,7 @@ func startEchoServer(t *testing.T) (addr string, srv *Server) {
 // carrying a unique payload, and every response must come back on the
 // stream that asked for it with the payload intact.
 func TestMuxConcurrentStreamsNeverInterleave(t *testing.T) {
+	testkit.NoLeak(t)
 	addr, _ := startEchoServer(t)
 	client := NewClient(addr)
 	defer client.Close()
@@ -97,6 +103,7 @@ func TestMuxConcurrentStreamsNeverInterleave(t *testing.T) {
 // stream-0 error frame and a dropped connection, never a hang or a
 // panic.
 func TestServerRejectsGarbage(t *testing.T) {
+	testkit.NoLeak(t)
 	addr, _ := startEchoServer(t)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -121,6 +128,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 // TestServerRejectsOversizedFrame proves the declared-length cap
 // applies server-side.
 func TestServerRejectsOversizedFrame(t *testing.T) {
+	testkit.NoLeak(t)
 	srv := &Server{MaxFrame: 1024, H: Handlers{
 		Offload: func(ctx context.Context, req OffloadRequest) (OffloadResponse, int) {
 			return OffloadResponse{}, 200
@@ -174,6 +182,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 // survives a peer restart: the broken connection fails pending calls
 // (retryably) and the next call dials fresh.
 func TestClientRedialsAfterServerRestart(t *testing.T) {
+	testkit.NoLeak(t)
 	srv := &Server{H: Handlers{}}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -221,6 +230,7 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 // TestCallContextCancellation proves an abandoned stream neither hangs
 // the caller nor poisons the connection for other streams.
 func TestCallContextCancellation(t *testing.T) {
+	testkit.NoLeak(t)
 	block := make(chan struct{})
 	srv := &Server{H: Handlers{
 		Offload: func(ctx context.Context, req OffloadRequest) (OffloadResponse, int) {

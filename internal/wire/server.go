@@ -8,6 +8,9 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
+
+	"accelcloud/internal/workers"
 )
 
 // Handlers are the application callbacks a Server dispatches to.
@@ -26,9 +29,11 @@ type Handlers struct {
 }
 
 // Server accepts binary protocol connections and dispatches frames.
-// Each request frame is served on its own goroutine, so slow calls
-// never block other streams on the same connection; responses are
-// written under a per-connection mutex.
+// Each request frame is served on its own worker goroutine — an idle
+// reusable one when there is one, a new one otherwise — so slow calls
+// never block other streams on the same connection and a steady load
+// keeps its grown stacks; responses are written under a per-connection
+// mutex.
 type Server struct {
 	// H holds the application callbacks; a nil callback rejects the
 	// corresponding method with a 501 error frame.
@@ -40,7 +45,23 @@ type Server struct {
 	lis    []net.Listener
 	conns  map[net.Conn]context.CancelFunc
 	closed bool
+	// pool runs dispatches; loops counts the serveConn goroutines
+	// Close waits for.
+	pool  *workers.Pool[job]
+	loops sync.WaitGroup
 }
+
+// job is one inbound frame on its way to a dispatch worker.
+type job struct {
+	ctx context.Context
+	w   *frameWriter
+	f   Frame
+}
+
+// closeWait bounds how long Close waits for connection loops to exit.
+// They exit as soon as their closed connection fails the pending read,
+// so the bound only matters if that read somehow does not return.
+const closeWait = 2 * time.Second
 
 // Serve accepts connections until the listener fails or Close is
 // called (which returns nil).
@@ -54,6 +75,7 @@ func (s *Server) Serve(lis net.Listener) error {
 	s.lis = append(s.lis, lis)
 	if s.conns == nil {
 		s.conns = make(map[net.Conn]context.CancelFunc)
+		s.pool = workers.New(func(j job) { s.dispatch(j.ctx, j.w, j.f) })
 	}
 	s.mu.Unlock()
 	for {
@@ -76,13 +98,17 @@ func (s *Server) Serve(lis net.Listener) error {
 			return nil
 		}
 		s.conns[nc] = cancel
+		s.loops.Add(1)
 		s.mu.Unlock()
 		go s.serveConn(ctx, nc)
 	}
 }
 
-// Close stops the listeners and tears down live connections;
-// in-flight handlers see their contexts cancelled.
+// Close stops the listeners, tears down live connections (in-flight
+// handlers see their contexts cancelled), retires the idle dispatch
+// workers, and waits — at most closeWait — for the connection loops to
+// exit. A handler still running returns on its own; its worker exits
+// with it.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -90,6 +116,7 @@ func (s *Server) Close() error {
 	s.lis = nil
 	conns := s.conns
 	s.conns = nil
+	pool := s.pool
 	s.mu.Unlock()
 	for _, l := range lis {
 		_ = l.Close()
@@ -98,25 +125,26 @@ func (s *Server) Close() error {
 		cancel()
 		_ = nc.Close()
 	}
+	if pool == nil {
+		return nil // never served
+	}
+	pool.Close()
+	exited := make(chan struct{})
+	go func() {
+		s.loops.Wait()
+		close(exited)
+	}()
+	bound := time.NewTimer(closeWait)
+	defer bound.Stop()
+	select {
+	case <-exited:
+	case <-bound.C:
+	}
 	return nil
 }
 
-// connWriter serializes response frames onto one connection.
-type connWriter struct {
-	mu   sync.Mutex
-	nc   net.Conn
-	wbuf []byte
-}
-
-func (w *connWriter) write(f Frame) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var err error
-	w.wbuf, err = WriteFrame(w.nc, w.wbuf, f)
-	return err
-}
-
 func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
+	defer s.loops.Done()
 	defer func() {
 		s.mu.Lock()
 		if cancel, ok := s.conns[nc]; ok {
@@ -130,7 +158,7 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 		_ = tc.SetNoDelay(true)
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	w := &connWriter{nc: nc}
+	w := &frameWriter{nc: nc}
 	for {
 		f, err := ReadFrame(br, s.MaxFrame)
 		if err != nil {
@@ -139,26 +167,31 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 			// connection. A clean EOF or cancelled context just ends.
 			if ctx.Err() == nil && err != io.EOF &&
 				(errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge)) {
-				_ = w.write(errorFrame(0, http.StatusBadRequest, err.Error()))
+				w.writeError(0, http.StatusBadRequest, err.Error())
 			}
 			return
 		}
-		go s.dispatch(ctx, w, f)
+		s.pool.Go(job{ctx: ctx, w: w, f: f})
 	}
 }
 
-// errorFrame builds a FrameError response.
-func errorFrame(stream uint64, code int, msg string) Frame {
-	return Frame{
-		Type:     FrameError,
-		StreamID: stream,
-		Payload:  AppendErrorFrame(nil, ErrorFrame{Code: code, Message: msg}),
-	}
+// reply encodes one message into pooled scratch and writes it as a
+// frame. Write errors are ignored here and below: the read loop will
+// observe the broken connection and tear it down.
+func reply[M any](w *frameWriter, ftype, flags byte, stream uint64, enc func([]byte, M) []byte, msg M) {
+	sc := getScratch()
+	sc.b = enc(sc.b, msg)
+	_ = w.write(Frame{Type: ftype, Flags: flags, StreamID: stream, Payload: sc.b})
+	sc.release()
 }
 
-// dispatch serves one inbound frame. Write errors are ignored: the
-// read loop will observe the broken connection and tear it down.
-func (s *Server) dispatch(ctx context.Context, w *connWriter, f Frame) {
+// writeError answers a stream with a FrameError.
+func (w *frameWriter) writeError(stream uint64, code int, msg string) {
+	reply(w, FrameError, 0, stream, AppendErrorFrame, ErrorFrame{Code: code, Message: msg})
+}
+
+// dispatch serves one inbound frame.
+func (s *Server) dispatch(ctx context.Context, w *frameWriter, f Frame) {
 	switch f.Type {
 	case FrameRequest:
 		switch f.Flags & methodMask {
@@ -166,73 +199,61 @@ func (s *Server) dispatch(ctx context.Context, w *connWriter, f Frame) {
 			_ = w.write(Frame{Type: FrameResponse, StreamID: f.StreamID})
 		case MethodOffload:
 			if s.H.Offload == nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusNotImplemented, "wire: offload not served here"))
+				w.writeError(f.StreamID, http.StatusNotImplemented, "wire: offload not served here")
 				return
 			}
 			req, err := DecodeOffloadRequest(f.Payload)
 			if err != nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, err.Error()))
+				w.writeError(f.StreamID, http.StatusBadRequest, err.Error())
 				return
 			}
 			resp, code := s.H.Offload(ctx, req)
 			if code != 0 && code != http.StatusOK {
-				_ = w.write(errorFrame(f.StreamID, code, resp.Error))
+				w.writeError(f.StreamID, code, resp.Error)
 				return
 			}
-			_ = w.write(Frame{Type: FrameResponse, StreamID: f.StreamID, Payload: AppendOffloadResponse(nil, resp)})
+			reply(w, FrameResponse, 0, f.StreamID, AppendOffloadResponse, resp)
 		case MethodExecute:
 			if s.H.Execute == nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusNotImplemented, "wire: execute not served here"))
+				w.writeError(f.StreamID, http.StatusNotImplemented, "wire: execute not served here")
 				return
 			}
 			req, err := DecodeExecuteRequest(f.Payload)
 			if err != nil {
-				_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, err.Error()))
+				w.writeError(f.StreamID, http.StatusBadRequest, err.Error())
 				return
 			}
-			resp := s.H.Execute(ctx, req)
-			_ = w.write(Frame{Type: FrameResponse, StreamID: f.StreamID, Payload: AppendExecuteResponse(nil, resp)})
+			reply(w, FrameResponse, 0, f.StreamID, AppendExecuteResponse, s.H.Execute(ctx, req))
 		}
 	case FrameBatch:
 		if f.Flags&FlagBatchResponse != 0 {
-			_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, "wire: batch response frame sent to server"))
+			w.writeError(f.StreamID, http.StatusBadRequest, "wire: batch response frame sent to server")
 			return
 		}
 		if s.H.Offload == nil {
-			_ = w.write(errorFrame(f.StreamID, http.StatusNotImplemented, "wire: offload not served here"))
+			w.writeError(f.StreamID, http.StatusNotImplemented, "wire: offload not served here")
 			return
 		}
 		batch, err := DecodeBatchRequest(f.Payload)
 		if err != nil {
-			_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, err.Error()))
+			w.writeError(f.StreamID, http.StatusBadRequest, err.Error())
 			return
 		}
 		// Fan the chain out per call: every call takes its own trip
 		// through the router, so the data plane's accounting is
 		// identical whether calls arrive alone or chained.
 		results := make([]BatchResult, len(batch.Calls))
-		var wg sync.WaitGroup
-		for i, call := range batch.Calls {
-			wg.Add(1)
-			go func(i int, call OffloadRequest) {
-				defer wg.Done()
-				resp, code := s.H.Offload(ctx, call)
-				if code == 0 {
-					code = http.StatusOK
-				}
-				results[i] = BatchResult{Code: code, Resp: resp}
-			}(i, call)
-		}
-		wg.Wait()
-		_ = w.write(Frame{
-			Type:     FrameBatch,
-			Flags:    FlagBatchResponse,
-			StreamID: f.StreamID,
-			Payload:  AppendBatchResponse(nil, BatchResponse{Results: results}),
+		workers.Each(len(batch.Calls), func(i int) {
+			resp, code := s.H.Offload(ctx, batch.Calls[i])
+			if code == 0 {
+				code = http.StatusOK
+			}
+			results[i] = BatchResult{Code: code, Resp: resp}
 		})
+		reply(w, FrameBatch, FlagBatchResponse, f.StreamID, AppendBatchResponse, BatchResponse{Results: results})
 	default:
 		// FrameResponse / FrameError have no meaning inbound on a
 		// server; answer with a protocol error on the same stream.
-		_ = w.write(errorFrame(f.StreamID, http.StatusBadRequest, "wire: unexpected frame type from client"))
+		w.writeError(f.StreamID, http.StatusBadRequest, "wire: unexpected frame type from client")
 	}
 }
