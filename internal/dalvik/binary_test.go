@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -98,5 +100,74 @@ func TestBinaryExecuteAllocationBudget(t *testing.T) {
 	execute()
 	if n := testing.AllocsPerRun(2000, execute); n > 12 {
 		t.Errorf("rpc.Client.Execute over bin:// allocates %.1f per call, budget 12", n)
+	}
+}
+
+// brokenTask panics on every execution, as a bundle with a bug would.
+type brokenTask struct{ tasks.Fibonacci }
+
+func (brokenTask) Name() string { return "broken" }
+
+func (brokenTask) Execute(tasks.State) (tasks.Result, error) {
+	var board []int
+	return tasks.Result{Ops: int64(board[0])}, nil
+}
+
+// TestHostileStateDoesNotKillSurrogate: states whose numbers used to
+// wrap a length check or size an impossible allocation, and a task that
+// panics outright, each come back as an error response over bin:// and
+// over HTTP; the slot is released, the failure counted, and the next
+// request on the same connection succeeds.
+func TestHostileStateDoesNotKillSurrogate(t *testing.T) {
+	testkit.NoLeak(t)
+	hostile := []tasks.State{
+		{Task: "matmul", Data: []byte(`{"n":4294967296,"a":[],"b":[]}`)},
+		{Task: "sieve", Data: []byte(`{"limit":4611686018427387904}`)},
+		{Task: "knapsack", Data: []byte(`{"capacity":4611686018427387904,"weights":[],"values":[]}`)},
+		{Task: "broken"},
+	}
+	valid, err := tasks.Sieve{}.Generate(sim.NewRNG(1).Stream("gen"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transport := range []string{"bin", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			s, err := NewSurrogate("dalvik-x86-test", 1) // one slot: a leaked one fails the next call
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PushPool(tasks.DefaultPool()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Push(brokenTask{}); err != nil {
+				t.Fatal(err)
+			}
+			var c *rpc.Client
+			if transport == "bin" {
+				c = serveBinary(t, s)
+			} else {
+				srv := httptest.NewServer(s.Handler())
+				t.Cleanup(srv.Close)
+				hc := &http.Client{Transport: &http.Transport{}} // one connection, closed with the test
+				t.Cleanup(hc.CloseIdleConnections)
+				c = rpc.NewClient(srv.URL, rpc.WithHTTPClient(hc))
+			}
+			ctx := context.Background()
+			for i, st := range hostile {
+				resp, err := c.Execute(ctx, rpc.ExecuteRequest{State: st})
+				if err == nil || resp.Error == "" || resp.Server != s.Name() {
+					t.Fatalf("%s %s: want the surrogate's error inside the response, got %+v, %v", st.Task, st.Data, resp, err)
+				}
+				if st.Task == "broken" && !strings.Contains(resp.Error, "panicked") {
+					t.Fatalf("panic not reported as one: %q", resp.Error)
+				}
+				if got := s.Stats().Failed; got != int64(i+1) {
+					t.Fatalf("after %s: failed = %d, want %d", st.Task, got, i+1)
+				}
+				if _, err := c.Execute(ctx, rpc.ExecuteRequest{State: valid}); err != nil {
+					t.Fatalf("valid request after hostile %s: %v", st.Task, err)
+				}
+			}
+		})
 	}
 }

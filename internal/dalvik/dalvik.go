@@ -144,7 +144,7 @@ func (s *Surrogate) Execute(st tasks.State) (tasks.Result, time.Duration, error)
 		return tasks.Result{}, 0, fmt.Errorf("dalvik: %s: %w: %q", s.name, tasks.ErrUnknownTask, st.Task)
 	}
 	start := time.Now()
-	res, err := task.Execute(st)
+	res, err := run(task, st)
 	elapsed := time.Since(start)
 	s.mu.Lock()
 	if err != nil {
@@ -157,6 +157,20 @@ func (s *Surrogate) Execute(st tasks.State) (tasks.Result, time.Duration, error)
 		return tasks.Result{}, elapsed, fmt.Errorf("dalvik: %s: %w", s.name, err)
 	}
 	return res, elapsed, nil
+}
+
+// run executes st, reporting a panic in task code as the request's error.
+// The call is on a goroutine the server shares between devices (a wire
+// dispatch worker over bin://), where an escaped panic ends the process
+// for all of them; the paper isolates a problematic request in its own
+// dalvikvm process for the same reason.
+func run(task tasks.Task, st tasks.State) (res tasks.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = tasks.Result{}, fmt.Errorf("task %q panicked: %v", st.Task, r)
+		}
+	}()
+	return task.Execute(st)
 }
 
 // ExecuteBatch runs a batch of states concurrently, one worker slot

@@ -71,6 +71,11 @@ func pickQueue(t *testing.T, r *Router, group int, url string) *serve.Queue {
 func TestBackpressureFence(t *testing.T) {
 	release := make(chan struct{})
 	slow := blockingBackend(t, release)
+	// Registered after the server's Close, so it runs before it: a
+	// failed assertion must not leave Close waiting on held requests.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
 	fast := fastBackend(t)
 
 	r := New(nil)
@@ -91,20 +96,31 @@ func TestBackpressureFence(t *testing.T) {
 	}
 	req := rpc.ExecuteRequest{State: tasks.State{Task: "minimax", Size: 1}}
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _ = q.Submit(context.Background(), req)
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !q.Saturated() {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: queued=%d executing=%d", q.Queued(), q.Executing())
+	// Both conditions below come true whatever the scheduling; the ceiling
+	// only turns a product bug into a message instead of the package timeout.
+	waitFor := func(cond func() bool) {
+		for start := time.Now(); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Since(start) > time.Minute {
+				t.Fatalf("queue never saturated: queued=%d executing=%d", q.Queued(), q.Executing())
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
+	// One job first, until the dispatcher holds it and is parked in the
+	// backend: three at once can beat a freshly started dispatcher to
+	// the depth-2 buffer, the third is refused, and the queue then reads
+	// queued=1 executing=1 for ever.
+	submit()
+	waitFor(func() bool { return q.Executing() == 1 })
+	submit()
+	submit()
+	waitFor(q.Saturated)
 
 	// The fence: concurrent pickers must all steer to the fast backend.
 	var pickers sync.WaitGroup
@@ -143,9 +159,9 @@ func TestBackpressureFence(t *testing.T) {
 	}
 
 	// Drain and verify the backend rejoins rotation.
-	close(release)
+	unblock()
 	wg.Wait()
-	deadline = time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(2 * time.Second)
 	for {
 		p, err := r.Pick(1)
 		if err != nil {

@@ -60,6 +60,18 @@ func (f *fakeExec) ExecuteBatch(ctx context.Context, reqs []rpc.ExecuteRequest) 
 	return out, nil
 }
 
+// waitFor polls until cond holds. The caller has arranged for cond to
+// become true whatever the scheduling; the ceiling only turns a product
+// bug into a message instead of the package timeout.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for start := time.Now(); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Since(start) > time.Minute {
+			t.Fatalf("waiting for %s", what)
+		}
+	}
+}
+
 func req(task string) rpc.ExecuteRequest {
 	return rpc.ExecuteRequest{State: tasks.State{Task: task, Size: 1}}
 }
@@ -125,25 +137,34 @@ func TestQueueFullRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q.Close()
+	t.Cleanup(q.Close)
+	// Registered after Close, so it runs before it: a failed assertion
+	// must not leave Close waiting on dispatchers parked in the executor.
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
 
 	var wg sync.WaitGroup
 	errs := make([]error, limit+depth)
-	for i := 0; i < limit+depth; i++ {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			_, errs[i] = q.Submit(context.Background(), req("minimax"))
-		}(i)
+		}()
 	}
-	// Wait until the dispatchers hold `limit` jobs and `depth` more wait.
-	deadline := time.Now().Add(2 * time.Second)
-	for q.Queued() < depth || q.Executing() < limit {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: queued=%d executing=%d", q.Queued(), q.Executing())
-		}
-		time.Sleep(time.Millisecond)
+	// The dispatchers take `limit` jobs and park in the executor; only
+	// then can `depth` more be admitted for certain. Submitted all at
+	// once, a fourth could find the buffer full before a dispatcher has
+	// pulled anything, and the queue would never saturate.
+	for i := 0; i < limit; i++ {
+		submit(i)
 	}
+	waitFor(t, "the dispatchers to hold a job each", func() bool { return q.Executing() == limit })
+	for i := limit; i < limit+depth; i++ {
+		submit(i)
+	}
+	waitFor(t, "the backlog to be admitted", func() bool { return q.Queued() == depth })
 	if !q.Saturated() {
 		t.Fatal("Saturated() = false at full depth")
 	}
@@ -154,7 +175,7 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatalf("rejected = %d", q.Rejected())
 	}
 
-	close(release)
+	unblock()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -229,9 +250,9 @@ func TestBatchBreaksOnTaskChange(t *testing.T) {
 	}
 	// Backlog must land in order: 3×matmul, then 1×minimax.
 	submit := func(task string) {
+		want := q.Queued() + 1 // read before the go: a fast enqueue would make it one too high
 		wg.Add(1)
 		go func() { defer wg.Done(); _, _ = q.Submit(context.Background(), req(task)) }()
-		want := q.Queued() + 1
 		for q.Queued() < want {
 			time.Sleep(100 * time.Microsecond)
 		}

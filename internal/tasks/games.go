@@ -16,6 +16,10 @@ type Minimax struct{}
 
 var _ Task = Minimax{}
 
+// maxMinimaxM bounds the board side a state may claim, so that m*m cannot
+// wrap past the length check; Generate plays 3×3.
+const maxMinimaxM = 1 << 10
+
 type minimaxState struct {
 	// Board is row-major; 0 empty, 1 player X (maximizing), 2 player O.
 	Board []int `json:"board"`
@@ -69,7 +73,7 @@ func (Minimax) Execute(st State) (Result, error) {
 	if err := unmarshalState(st, "minimax", &in); err != nil {
 		return Result{}, err
 	}
-	if in.M < 1 || len(in.Board) != in.M*in.M {
+	if in.M < 1 || in.M > maxMinimaxM || len(in.Board) != in.M*in.M {
 		return Result{}, fmt.Errorf("tasks: minimax board %d cells for m=%d", len(in.Board), in.M)
 	}
 	if in.Turn != 1 && in.Turn != 2 {

@@ -87,6 +87,10 @@ func InferencePool() *Pool {
 	return p
 }
 
+// maxInferenceBatch bounds the batch a state may claim, so that batch×In
+// cannot wrap past the length check; batches in use stay below 100.
+const maxInferenceBatch = 1 << 16
+
 type inferenceState struct {
 	Model string    `json:"model"`
 	Batch int       `json:"batch"`
@@ -185,7 +189,7 @@ func (t Inference) Execute(st State) (Result, error) {
 	if in.Model != m.Model {
 		return Result{}, fmt.Errorf("tasks: inference state for model %q routed to %q", in.Model, m.Model)
 	}
-	if in.Batch < 1 || len(in.In) != in.Batch*m.In {
+	if in.Batch < 1 || in.Batch > maxInferenceBatch || len(in.In) != in.Batch*m.In {
 		return Result{}, fmt.Errorf("tasks: inference batch=%d with %d features (want %d)", in.Batch, len(in.In), in.Batch*m.In)
 	}
 	w := t.weights(in.Load)

@@ -73,6 +73,10 @@ func (Fibonacci) Work(size int) float64 {
 // MatMul multiplies two dense n×n float64 matrices. Work ≈ n³.
 type MatMul struct{}
 
+// maxMatMulN bounds the dimension a state may claim, so that n*n cannot
+// wrap past the length checks; sizes in use stay below 100.
+const maxMatMulN = 1 << 10
+
 var _ Task = MatMul{}
 
 type matmulState struct {
@@ -111,7 +115,7 @@ func (MatMul) Execute(st State) (Result, error) {
 		return Result{}, err
 	}
 	n := in.N
-	if n < 1 || len(in.A) != n*n || len(in.B) != n*n {
+	if n < 1 || n > maxMatMulN || len(in.A) != n*n || len(in.B) != n*n {
 		return Result{}, fmt.Errorf("tasks: matmul n=%d with %d/%d elements", n, len(in.A), len(in.B))
 	}
 	c := make([]float64, n*n)
@@ -147,6 +151,10 @@ func (MatMul) Work(size int) float64 {
 // Knapsack solves 0/1 knapsack by dynamic programming over items ×
 // capacity. Work ≈ n·W.
 type Knapsack struct{}
+
+// maxKnapsackCapacity bounds the DP table a state may ask for (32 MB of
+// ints); Generate asks for 10 per item.
+const maxKnapsackCapacity = 1 << 22
 
 var _ Task = Knapsack{}
 
@@ -193,6 +201,9 @@ func (Knapsack) Execute(st State) (Result, error) {
 	if in.Capacity < 0 {
 		return Result{}, fmt.Errorf("tasks: knapsack capacity %d < 0", in.Capacity)
 	}
+	if in.Capacity > maxKnapsackCapacity {
+		return Result{}, fmt.Errorf("tasks: knapsack capacity %d > %d", in.Capacity, maxKnapsackCapacity)
+	}
 	dp := make([]int, in.Capacity+1)
 	var ops int64
 	for i, w := range in.Weights {
@@ -221,6 +232,10 @@ func (Knapsack) Work(size int) float64 {
 
 // Sieve counts primes below the limit with the sieve of Eratosthenes.
 type Sieve struct{}
+
+// maxSieveLimit bounds the table a state may ask for (16 MB); Generate
+// asks for 1000 per unit of size.
+const maxSieveLimit = 1 << 24
 
 var _ Task = Sieve{}
 
@@ -253,6 +268,9 @@ func (Sieve) Execute(st State) (Result, error) {
 	}
 	if in.Limit < 0 {
 		return Result{}, fmt.Errorf("tasks: sieve limit %d < 0", in.Limit)
+	}
+	if in.Limit > maxSieveLimit {
+		return Result{}, fmt.Errorf("tasks: sieve limit %d > %d", in.Limit, maxSieveLimit)
 	}
 	if in.Limit < 2 {
 		return marshalResult("sieve", 1, sieveResult{Primes: 0})

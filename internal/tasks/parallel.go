@@ -70,7 +70,7 @@ func (t ParMatMul) Execute(st State) (Result, error) {
 		return Result{}, err
 	}
 	n := in.N
-	if n < 1 || len(in.A) != n*n || len(in.B) != n*n {
+	if n < 1 || n > maxMatMulN || len(in.A) != n*n || len(in.B) != n*n {
 		return Result{}, fmt.Errorf("tasks: parmatmul n=%d with %d/%d elements", n, len(in.A), len(in.B))
 	}
 	workers := t.Parallelism(st.Size)
