@@ -31,6 +31,20 @@ func serveBinary(t *testing.T, s *Surrogate) *rpc.Client {
 	return rpc.NewClient(rpc.BinaryScheme + lis.Addr().String())
 }
 
+// dial serves s over transport ("bin" or "http") and returns a client
+// for it; cleanup closes both ends.
+func dial(t *testing.T, transport string, s *Surrogate) *rpc.Client {
+	t.Helper()
+	if transport == "bin" {
+		return serveBinary(t, s)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	hc := &http.Client{Transport: &http.Transport{}} // one connection, closed with the test
+	t.Cleanup(hc.CloseIdleConnections)
+	return rpc.NewClient(srv.URL, rpc.WithHTTPClient(hc))
+}
+
 // TestServeBinary drives the surrogate over bin:// — probe, execution,
 // a failure travelling inside the response, a batch in call order —
 // and proves Close leaves no goroutine behind: accept loop, connection
@@ -103,6 +117,90 @@ func TestBinaryExecuteAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestBinaryExecuteBatchAllocationBudget: one Client.ExecuteBatch of
+// eight states — one request frame and one response frame — to an
+// in-process surrogate, both ends counted.
+func TestBinaryExecuteBatchAllocationBudget(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	c := serveBinary(t, newLoaded(t))
+	st, err := tasks.Fibonacci{}.Generate(sim.NewRNG(1).Stream("gen"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]rpc.ExecuteRequest, 8)
+	for i := range reqs {
+		reqs[i].State = st
+	}
+	ctx := context.Background()
+	batch := func() {
+		resps, err := c.ExecuteBatch(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range resps {
+			if r.Error != "" {
+				t.Fatal(r.Error)
+			}
+		}
+	}
+	batch()
+	if n := testing.AllocsPerRun(500, batch); n > 21 {
+		t.Errorf("rpc.Client.ExecuteBatch of 8 over bin:// allocates %.1f per batch, budget 21", n)
+	}
+}
+
+// TestBatchMemberFailuresStayInPlace: over either transport, each
+// member of one batch fails alone, in its own result — an unknown
+// task, a panicking task, and (with every slot taken) a busy
+// surrogate — while its batchmates succeed.
+func TestBatchMemberFailuresStayInPlace(t *testing.T) {
+	testkit.NoLeak(t)
+	valid, err := tasks.Sieve{}.Generate(sim.NewRNG(1).Stream("gen"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, transport := range []string{"bin", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			s := newLoaded(t)
+			if err := s.Push(brokenTask{}); err != nil {
+				t.Fatal(err)
+			}
+			c := dial(t, transport, s)
+			ctx := context.Background()
+			reqs := []rpc.ExecuteRequest{{State: valid}, {State: tasks.State{Task: "ghost"}}, {State: tasks.State{Task: "broken"}}, {State: valid}}
+			resps, err := c.ExecuteBatch(ctx, reqs)
+			if err != nil || len(resps) != len(reqs) {
+				t.Fatalf("batch: %d results, %v", len(resps), err)
+			}
+			for i, want := range []string{"", "unknown task", "panicked", ""} {
+				r := resps[i]
+				if r.Server != s.Name() || (want == "") != (r.Error == "") || !strings.Contains(r.Error, want) {
+					t.Fatalf("member %d: want error %q, got %+v", i, want, r)
+				}
+			}
+			if st := s.Stats(); st.Executed != 2 || st.Failed != 2 {
+				t.Fatalf("after the mixed batch: %+v", st)
+			}
+
+			for range cap(s.slots) {
+				s.slots <- struct{}{}
+			}
+			resps, err = c.ExecuteBatch(ctx, reqs[:1:1])
+			for range cap(s.slots) {
+				<-s.slots
+			}
+			if err != nil || len(resps) != 1 || !strings.Contains(resps[0].Error, "slots busy") {
+				t.Fatalf("batch on a busy surrogate: %+v, %v", resps, err)
+			}
+			if st := s.Stats(); st.Rejected != 1 {
+				t.Fatalf("after the busy batch: %+v", st)
+			}
+		})
+	}
+}
+
 // brokenTask panics on every execution, as a bundle with a bug would.
 type brokenTask struct{ tasks.Fibonacci }
 
@@ -142,16 +240,7 @@ func TestHostileStateDoesNotKillSurrogate(t *testing.T) {
 			if err := s.Push(brokenTask{}); err != nil {
 				t.Fatal(err)
 			}
-			var c *rpc.Client
-			if transport == "bin" {
-				c = serveBinary(t, s)
-			} else {
-				srv := httptest.NewServer(s.Handler())
-				t.Cleanup(srv.Close)
-				hc := &http.Client{Transport: &http.Transport{}} // one connection, closed with the test
-				t.Cleanup(hc.CloseIdleConnections)
-				c = rpc.NewClient(srv.URL, rpc.WithHTTPClient(hc))
-			}
+			c := dial(t, transport, s)
 			ctx := context.Background()
 			for i, st := range hostile {
 				resp, err := c.Execute(ctx, rpc.ExecuteRequest{State: st})

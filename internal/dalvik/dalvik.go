@@ -24,6 +24,7 @@ import (
 	"accelcloud/internal/rpc"
 	"accelcloud/internal/tasks"
 	"accelcloud/internal/wire"
+	"accelcloud/internal/workers"
 )
 
 // DefaultMaxProcs bounds concurrent per-request workers (dalvikvm
@@ -173,34 +174,17 @@ func run(task tasks.Task, st tasks.State) (res tasks.Result, err error) {
 	return task.Execute(st)
 }
 
-// ExecuteBatch runs a batch of states concurrently, one worker slot
-// each — the serving layer's dynamic batcher lands here, so a batch
-// of parallelizable tasks (ParMatMul rows, MatMul calls) spreads
-// across the surrogate's slots the way the paper's per-request
-// dalvikvm processes would. Results come back in call order; per-call
-// failures (including slot saturation) stay inside each result's
-// Error field so one bad call does not fail its batchmates.
-func (s *Surrogate) ExecuteBatch(sts []tasks.State) []rpc.ExecuteResponse {
-	out := make([]rpc.ExecuteResponse, len(sts))
-	var wg sync.WaitGroup
-	wg.Add(len(sts))
-	for i := range sts {
-		go func(i int) {
-			defer wg.Done()
-			res, elapsed, err := s.Execute(sts[i])
-			if err != nil {
-				out[i] = rpc.ExecuteResponse{Server: s.name, Error: err.Error()}
-				return
-			}
-			out[i] = rpc.ExecuteResponse{
-				Result:  res,
-				CloudMs: float64(elapsed) / float64(time.Millisecond),
-				Server:  s.name,
-			}
-		}(i)
-	}
-	wg.Wait()
-	return out
+// ExecuteBatch runs a batch of calls concurrently on reusable workers,
+// one worker slot each, writing the answer to calls[i] into out[i] —
+// the serving layer's dynamic batcher lands here over either
+// transport, so a batch of parallelizable tasks (ParMatMul rows,
+// MatMul calls) spreads across the surrogate's slots the way the
+// paper's per-request dalvikvm processes would. Per-call failures
+// (unknown task, slot saturation, a panic in task code) stay inside
+// each result's Error field so one bad call does not fail its
+// batchmates. out must be as long as calls.
+func (s *Surrogate) ExecuteBatch(ctx context.Context, calls []wire.ExecuteRequest, out []wire.ExecuteResponse) {
+	workers.Each(len(calls), func(i int) { out[i] = s.respond(ctx, calls[i]) })
 }
 
 // Handler serves the surrogate protocol:
@@ -221,19 +205,7 @@ func (s *Surrogate) Handler() http.Handler {
 			rpc.WriteJSON(w, http.StatusBadRequest, rpc.ExecuteResponse{Error: err.Error()})
 			return
 		}
-		res, elapsed, err := s.Execute(req.State)
-		if err != nil {
-			rpc.WriteJSON(w, http.StatusOK, rpc.ExecuteResponse{
-				Server: s.name,
-				Error:  err.Error(),
-			})
-			return
-		}
-		rpc.WriteJSON(w, http.StatusOK, rpc.ExecuteResponse{
-			Result:  res,
-			CloudMs: float64(elapsed) / float64(time.Millisecond),
-			Server:  s.name,
-		})
+		rpc.WriteJSON(w, http.StatusOK, s.respond(r.Context(), req))
 	})
 	mux.HandleFunc(rpc.PathExecuteBatch, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -249,11 +221,9 @@ func (s *Surrogate) Handler() http.Handler {
 			rpc.WriteJSON(w, http.StatusBadRequest, rpc.ExecuteBatchResponse{})
 			return
 		}
-		sts := make([]tasks.State, len(req.Calls))
-		for i, c := range req.Calls {
-			sts[i] = c.State
-		}
-		rpc.WriteJSON(w, http.StatusOK, rpc.ExecuteBatchResponse{Results: s.ExecuteBatch(sts)})
+		out := make([]rpc.ExecuteResponse, len(req.Calls))
+		s.ExecuteBatch(r.Context(), req.Calls, out)
+		rpc.WriteJSON(w, http.StatusOK, rpc.ExecuteBatchResponse{Results: out})
 	})
 	mux.HandleFunc(rpc.PathHealth, func(w http.ResponseWriter, r *http.Request) {
 		rpc.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "server": s.name})
@@ -272,11 +242,11 @@ func (s *Surrogate) Handler() http.Handler {
 	return mux
 }
 
-// executeWire adapts Execute to the framed protocol: failures travel
-// in the response's Error field, exactly like the HTTP handler's
-// 200-with-error contract, so both protocols classify surrogate
+// respond runs one call and answers it the way both transports do:
+// failures travel in the response's Error field (the HTTP handler's
+// 200-with-error contract), so both protocols classify surrogate
 // failures identically.
-func (s *Surrogate) executeWire(_ context.Context, req wire.ExecuteRequest) wire.ExecuteResponse {
+func (s *Surrogate) respond(_ context.Context, req wire.ExecuteRequest) wire.ExecuteResponse {
 	res, elapsed, err := s.Execute(req.State)
 	if err != nil {
 		return wire.ExecuteResponse{Server: s.name, Error: err.Error()}
@@ -289,10 +259,10 @@ func (s *Surrogate) executeWire(_ context.Context, req wire.ExecuteRequest) wire
 }
 
 // BinaryServer builds the surrogate's framed-protocol server — the
-// binary counterpart of Handler, serving execute and ping frames over
-// persistent multiplexed connections.
+// binary counterpart of Handler, serving execute, execute-batch and
+// ping frames over persistent multiplexed connections.
 func (s *Surrogate) BinaryServer() *wire.Server {
-	return &wire.Server{H: wire.Handlers{Execute: s.executeWire}}
+	return &wire.Server{H: wire.Handlers{Execute: s.respond, ExecuteBatch: s.ExecuteBatch}}
 }
 
 // ServeBinary serves the framed protocol on lis until the listener

@@ -10,11 +10,11 @@ import (
 )
 
 // The binary transport: the same Client surface (Offload, Execute,
-// OffloadBatch, Health) over length-prefixed frames on one persistent
-// multiplexed TCP connection instead of one HTTP request per call. It
-// plugs in underneath post, so the whole resilience ladder —
-// Timeout, RetryPolicy, HedgePolicy, the counters — composes with it
-// unchanged.
+// OffloadBatch, ExecuteBatch, Health) over length-prefixed frames on
+// one persistent multiplexed TCP connection instead of one HTTP request
+// per call. It plugs in underneath post, so the whole resilience
+// ladder — Timeout, RetryPolicy, HedgePolicy, the counters — composes
+// with it unchanged.
 
 // wireClient lazily builds the framed-protocol client for a bin://
 // BaseURL. The wire.Client redials transparently, so one rpc.Client
@@ -45,9 +45,6 @@ func binPost[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp]
 	bc, err := c.wireClient()
 	if err != nil {
 		return zero, err
-	}
-	if m.send == nil {
-		return zero, fmt.Errorf("rpc: no binary encoding for %T (path %s)", in, m.path)
 	}
 	f, err := m.send(bc, ctx, deadline, in)
 	if err != nil {

@@ -246,21 +246,41 @@ func TestBinaryDeadConnectionIsErrClosedAndRedials(t *testing.T) {
 	}
 }
 
-// TestBinaryExecuteBatchKeepsCallOrder: the members of a bin:// batch
-// run concurrently on reusable workers, finish in any order, and come
-// back in call order with per-member failures inside each result.
+// TestBinaryExecuteBatchKeepsCallOrder: a bin:// batch is one
+// execute-batch frame — the server's batch handler runs once per
+// batch and its single-call handler never — whose members finish in
+// any order and come back in call order, with per-member failures
+// inside each result.
 func TestBinaryExecuteBatchKeepsCallOrder(t *testing.T) {
 	testkit.NoLeak(t)
-	url := serveWire(t, wire.Handlers{Execute: func(_ context.Context, req wire.ExecuteRequest) wire.ExecuteResponse {
-		// Later members answer first.
-		time.Sleep(time.Duration(64-req.State.Size) * 100 * time.Microsecond)
-		if req.State.Size%7 == 3 {
-			return wire.ExecuteResponse{Error: fmt.Sprintf("member %d failed", req.State.Size)}
-		}
-		return wire.ExecuteResponse{Result: tasks.Result{Task: req.State.Task, Ops: int64(req.State.Size)}}
-	}})
+	var batches, singles atomic.Int64
+	url := serveWire(t, wire.Handlers{
+		Execute: func(context.Context, wire.ExecuteRequest) wire.ExecuteResponse {
+			singles.Add(1)
+			return wire.ExecuteResponse{}
+		},
+		ExecuteBatch: func(_ context.Context, calls []wire.ExecuteRequest, out []wire.ExecuteResponse) {
+			batches.Add(1)
+			var wg sync.WaitGroup
+			for i, call := range calls {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Later members answer first.
+					time.Sleep(time.Duration(len(calls)-call.State.Size) * 100 * time.Microsecond)
+					if call.State.Size%7 == 3 {
+						out[i] = wire.ExecuteResponse{Error: fmt.Sprintf("member %d failed", call.State.Size)}
+						return
+					}
+					out[i] = wire.ExecuteResponse{Result: tasks.Result{Task: call.State.Task, Ops: int64(call.State.Size)}}
+				}()
+			}
+			wg.Wait()
+		},
+	})
 	c := NewClient(url)
-	for round := 0; round < 5; round++ {
+	const rounds = 5
+	for round := 0; round < rounds; round++ {
 		reqs := make([]ExecuteRequest, 64)
 		for i := range reqs {
 			reqs[i].State = tasks.State{Task: "echo", Size: i}
@@ -278,5 +298,8 @@ func TestBinaryExecuteBatchKeepsCallOrder(t *testing.T) {
 				t.Fatalf("member %d came back as %+v", i, r)
 			}
 		}
+	}
+	if b, s := batches.Load(), singles.Load(); b != rounds || s != 0 {
+		t.Fatalf("%d batches served as %d batch frames and %d single executes", rounds, b, s)
 	}
 }

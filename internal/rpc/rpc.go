@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"accelcloud/internal/wire"
-	"accelcloud/internal/workers"
 )
 
 // Paths of the HTTP endpoints.
@@ -321,8 +320,7 @@ func (r *payloadReader) Close() error {
 
 // method describes one RPC on both transports: its HTTP path for the
 // JSON mode, and how the framed mode sends it and decodes the answer.
-// The type parameters keep the binary path free of interface boxing;
-// send is nil for a call the framed protocol has no frame for.
+// The type parameters keep the binary path free of interface boxing.
 type method[Req, Resp any] struct {
 	path   string
 	send   func(*wire.Client, context.Context, time.Time, Req) (wire.Frame, error)
@@ -338,7 +336,8 @@ var (
 		PathExecute, (*wire.Client).Execute, wire.DecodeExecuteResponse, wire.FrameResponse}
 	offloadBatchMethod = method[BatchRequest, BatchResponse]{
 		PathOffloadBatch, (*wire.Client).OffloadBatch, wire.DecodeBatchResponse, wire.FrameBatch}
-	executeBatchMethod = method[ExecuteBatchRequest, ExecuteBatchResponse]{path: PathExecuteBatch}
+	executeBatchMethod = method[ExecuteBatchRequest, ExecuteBatchResponse]{
+		PathExecuteBatch, (*wire.Client).ExecuteBatch, wire.DecodeExecuteBatchResponse, wire.FrameBatch}
 )
 
 // post sends one request over the configured transport. A bin://
@@ -486,28 +485,16 @@ func (c *Client) Execute(ctx context.Context, req ExecuteRequest) (ExecuteRespon
 }
 
 // ExecuteBatch sends a batch of states to a surrogate in one round
-// trip. Results arrive in call order; per-call failures travel inside
-// each result's Error field, so the returned error is transport-level
-// only. Over the binary transport the calls fan out concurrently (on
-// reusable workers) on the multiplexed connection — same amortization,
-// no extra sockets.
+// trip: one batch frame each way over bin://, one POST over HTTP.
+// Results arrive in call order; per-call failures travel inside each
+// result's Error field, and the returned error is transport-level
+// only — it fails the whole batch, on both transports.
 func (c *Client) ExecuteBatch(ctx context.Context, reqs []ExecuteRequest) ([]ExecuteResponse, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	if len(reqs) > wire.MaxBatchCalls {
 		return nil, fmt.Errorf("rpc: batch of %d calls exceeds cap %d", len(reqs), wire.MaxBatchCalls)
-	}
-	if c.binary() {
-		resps := make([]ExecuteResponse, len(reqs))
-		workers.Each(len(reqs), func(i int) {
-			resp, err := c.Execute(ctx, reqs[i])
-			if err != nil && resp.Error == "" {
-				resp.Error = err.Error()
-			}
-			resps[i] = resp
-		})
-		return resps, nil
 	}
 	out, err := call(ctx, c, &executeBatchMethod, ExecuteBatchRequest{Calls: reqs})
 	if err != nil {

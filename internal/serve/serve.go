@@ -269,6 +269,9 @@ func (q *Queue) Close() {
 func (q *Queue) dispatch() {
 	defer q.wg.Done()
 	var carry *job // heterogeneous job that closed the previous batch
+	// buf backs every batch this dispatcher runs; run is done with a
+	// batch when it returns, so the slice is cleared and reused.
+	buf := make([]*job, 0, max(q.cfg.MaxBatch, 1))
 	for {
 		var lead *job
 		if carry != nil {
@@ -282,11 +285,12 @@ func (q *Queue) dispatch() {
 				return
 			}
 		}
-		batch := []*job{lead}
+		batch := append(buf[:0], lead)
 		if q.cfg.MaxBatch > 1 {
 			batch, carry = q.fill(batch)
 		}
 		q.run(batch)
+		clear(batch)
 	}
 }
 
@@ -354,6 +358,8 @@ func (q *Queue) run(batch []*job) {
 	}
 	q.batches.Add(1)
 	q.coalesced.Add(int64(len(live)))
+	// reqs, unlike batch, is fresh per dispatch: a hedged executor's
+	// losing lane may still be encoding it after ExecuteBatch returns.
 	reqs := make([]rpc.ExecuteRequest, len(live))
 	for i, j := range live {
 		reqs[i] = j.req

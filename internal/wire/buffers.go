@@ -36,6 +36,28 @@ func (s *scratch) release() {
 	scratchPool.Put(s)
 }
 
+// batchSlots are the call and result slices of one inbound execute
+// batch: the server decodes the calls into one, the handler fills the
+// other, and both go back to the pool once the reply is written. Only
+// the slices are reused — each call's State.Data still aliases the
+// unpooled inbound payload — and release zeroes every element first,
+// so a pooled slice keeps no State or Result reachable.
+type batchSlots struct {
+	calls []ExecuteRequest
+	out   []ExecuteResponse
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchSlots) }}
+
+func getBatchSlots() *batchSlots { return batchPool.Get().(*batchSlots) }
+
+func (b *batchSlots) release() {
+	clear(b.calls[:cap(b.calls)])
+	clear(b.out[:cap(b.out)])
+	b.calls, b.out = b.calls[:0], b.out[:0]
+	batchPool.Put(b)
+}
+
 // frameWriter serializes frames onto one connection: one encode into
 // the reused buffer and one Write per frame, under the mutex.
 type frameWriter struct {

@@ -122,6 +122,11 @@ func (c *Client) OffloadBatch(ctx context.Context, deadline time.Time, req Batch
 	return send(ctx, c, deadline, FrameBatch, 0, AppendBatchRequest, req)
 }
 
+// ExecuteBatch sends a batch of surrogate executions in one batch frame.
+func (c *Client) ExecuteBatch(ctx context.Context, deadline time.Time, req ExecuteBatchRequest) (Frame, error) {
+	return send(ctx, c, deadline, FrameBatch, FlagBatchExecute, AppendExecuteBatchRequest, req)
+}
+
 // Ping round-trips an empty request frame — the binary liveness probe.
 func (c *Client) Ping(ctx context.Context) error {
 	f, err := c.Call(ctx, FrameRequest, MethodPing, nil)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"accelcloud/internal/tasks"
 )
@@ -344,9 +345,7 @@ func AppendExecuteResponse(dst []byte, r ExecuteResponse) []byte {
 	return appendString(dst, r.Error)
 }
 
-// DecodeExecuteResponse decodes exactly one execute response from b.
-func DecodeExecuteResponse(b []byte) (ExecuteResponse, error) {
-	c := &cur{b: b}
+func decodeExecuteResponse(c *cur) (ExecuteResponse, error) {
 	var r ExecuteResponse
 	var err error
 	if r.Result, err = decodeResult(c); err != nil {
@@ -361,10 +360,38 @@ func DecodeExecuteResponse(b []byte) (ExecuteResponse, error) {
 	if r.Error, err = c.str(); err != nil {
 		return r, err
 	}
+	return r, nil
+}
+
+// DecodeExecuteResponse decodes exactly one execute response from b.
+func DecodeExecuteResponse(b []byte) (ExecuteResponse, error) {
+	c := &cur{b: b}
+	r, err := decodeExecuteResponse(c)
+	if err != nil {
+		return r, err
+	}
 	return r, c.done()
 }
 
 // --- batches --------------------------------------------------------------
+
+// batchCount reads the call (or result) count that opens every batch
+// payload. It is capped at MaxBatchCalls and at the bytes left, since
+// the smallest encodable call or result is over one byte, so a count
+// that passes can size an allocation without trusting the peer.
+func (c *cur) batchCount() (int, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > MaxBatchCalls {
+		return 0, fmt.Errorf("%w: batch of %d exceeds cap %d", ErrBadFrame, n, MaxBatchCalls)
+	}
+	if n > uint64(c.remaining()) {
+		return 0, fmt.Errorf("%w: batch count %d exceeds remaining bytes %d", ErrBadFrame, n, c.remaining())
+	}
+	return int(n), nil
+}
 
 // AppendBatchRequest encodes a call chain after dst.
 func AppendBatchRequest(dst []byte, b BatchRequest) []byte {
@@ -376,24 +403,16 @@ func AppendBatchRequest(dst []byte, b BatchRequest) []byte {
 }
 
 // DecodeBatchRequest decodes exactly one call chain from b. The call
-// count is capped at MaxBatchCalls and validated against the bytes
-// present before any per-call allocation happens.
+// count is checked by batchCount before any per-call allocation
+// happens.
 func DecodeBatchRequest(b []byte) (BatchRequest, error) {
 	c := &cur{b: b}
-	n, err := c.uvarint()
+	n, err := c.batchCount()
 	if err != nil {
 		return BatchRequest{}, err
 	}
-	if n > MaxBatchCalls {
-		return BatchRequest{}, fmt.Errorf("%w: batch of %d calls exceeds cap %d", ErrBadFrame, n, MaxBatchCalls)
-	}
-	// The smallest encodable call is well over one byte; remaining()
-	// caps the allocation without trusting the declared count.
-	if n > uint64(c.remaining()) {
-		return BatchRequest{}, fmt.Errorf("%w: batch count %d exceeds remaining bytes %d", ErrBadFrame, n, c.remaining())
-	}
 	out := BatchRequest{Calls: make([]OffloadRequest, 0, n)}
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		call, err := decodeOffloadRequest(c)
 		if err != nil {
 			return BatchRequest{}, err
@@ -416,24 +435,88 @@ func AppendBatchResponse(dst []byte, b BatchResponse) []byte {
 // DecodeBatchResponse decodes exactly one chain of results from b.
 func DecodeBatchResponse(b []byte) (BatchResponse, error) {
 	c := &cur{b: b}
-	n, err := c.uvarint()
+	n, err := c.batchCount()
 	if err != nil {
 		return BatchResponse{}, err
 	}
-	if n > MaxBatchCalls {
-		return BatchResponse{}, fmt.Errorf("%w: batch of %d results exceeds cap %d", ErrBadFrame, n, MaxBatchCalls)
-	}
-	if n > uint64(c.remaining()) {
-		return BatchResponse{}, fmt.Errorf("%w: batch count %d exceeds remaining bytes %d", ErrBadFrame, n, c.remaining())
-	}
 	out := BatchResponse{Results: make([]BatchResult, 0, n)}
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		var res BatchResult
 		if res.Code, err = c.sint(); err != nil {
 			return BatchResponse{}, err
 		}
 		if res.Resp, err = decodeOffloadResponse(c); err != nil {
 			return BatchResponse{}, err
+		}
+		out.Results = append(out.Results, res)
+	}
+	return out, c.done()
+}
+
+// AppendExecuteBatchRequest encodes a batch of surrogate calls after
+// dst.
+func AppendExecuteBatchRequest(dst []byte, b ExecuteBatchRequest) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b.Calls)))
+	for _, call := range b.Calls {
+		dst = AppendExecuteRequest(dst, call)
+	}
+	return dst
+}
+
+// DecodeExecuteBatchRequest decodes exactly one batch of surrogate calls
+// from b.
+func DecodeExecuteBatchRequest(b []byte) (ExecuteBatchRequest, error) {
+	calls, err := decodeExecuteCalls(b, nil)
+	if err != nil {
+		return ExecuteBatchRequest{}, err
+	}
+	return ExecuteBatchRequest{Calls: calls}, nil
+}
+
+// decodeExecuteCalls decodes a batch of surrogate calls into calls[:0],
+// growing it only when its capacity is short of the checked count — the
+// server decodes into a pooled slice this way. On error the returned
+// slice still holds whatever was decoded, so its owner can clear it.
+func decodeExecuteCalls(b []byte, calls []ExecuteRequest) ([]ExecuteRequest, error) {
+	c := &cur{b: b}
+	n, err := c.batchCount()
+	if err != nil {
+		return calls[:0], err
+	}
+	calls = slices.Grow(calls[:0], n)
+	for range n {
+		st, err := decodeState(c)
+		if err != nil {
+			return calls, err
+		}
+		calls = append(calls, ExecuteRequest{State: st})
+	}
+	return calls, c.done()
+}
+
+// AppendExecuteBatchResponse encodes a batch's results after dst, in
+// call order.
+func AppendExecuteBatchResponse(dst []byte, b ExecuteBatchResponse) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b.Results)))
+	for _, res := range b.Results {
+		dst = AppendExecuteResponse(dst, res)
+	}
+	return dst
+}
+
+// DecodeExecuteBatchResponse decodes exactly one batch of surrogate
+// results from b.
+func DecodeExecuteBatchResponse(b []byte) (ExecuteBatchResponse, error) {
+	c := &cur{b: b}
+	n, err := c.batchCount()
+	if err != nil {
+		return ExecuteBatchResponse{}, err
+	}
+	out := ExecuteBatchResponse{Results: make([]ExecuteResponse, 0, n)}
+	for range n {
+		res, err := decodeExecuteResponse(c)
+		if err != nil {
+			return ExecuteBatchResponse{}, err
 		}
 		out.Results = append(out.Results, res)
 	}

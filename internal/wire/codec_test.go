@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"accelcloud/internal/tasks"
@@ -35,6 +36,20 @@ func canonicalOffloadResponse() OffloadResponse {
 			NetworkMs: 1.75, ExecMs: 0.5, Hops: 1,
 		},
 	}
+}
+
+func canonicalExecuteBatchRequest() ExecuteBatchRequest {
+	return ExecuteBatchRequest{Calls: []ExecuteRequest{
+		{State: canonicalOffloadRequest().State},
+		{State: tasks.State{Task: "fibonacci", Size: 1, Data: []byte(`{"n":1}`)}},
+	}}
+}
+
+func canonicalExecuteBatchResponse() ExecuteBatchResponse {
+	return ExecuteBatchResponse{Results: []ExecuteResponse{
+		{Result: canonicalOffloadResponse().Result, CloudMs: 0.5, Server: "surrogate-g2-0"},
+		{Server: "surrogate-g2-0", Error: "dalvik: boom"},
+	}}
 }
 
 func TestOffloadRequestRoundTrip(t *testing.T) {
@@ -105,6 +120,16 @@ func TestBatchRoundTrips(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resp, gotResp) {
 		t.Fatalf("batch response mismatch:\n in: %+v\nout: %+v", resp, gotResp)
+	}
+	execReq := canonicalExecuteBatchRequest()
+	gotExecReq, err := DecodeExecuteBatchRequest(AppendExecuteBatchRequest(nil, execReq))
+	if err != nil || !reflect.DeepEqual(execReq, gotExecReq) {
+		t.Fatalf("execute batch request: %v\n in: %+v\nout: %+v", err, execReq, gotExecReq)
+	}
+	execResp := canonicalExecuteBatchResponse()
+	gotExecResp, err := DecodeExecuteBatchResponse(AppendExecuteBatchResponse(nil, execResp))
+	if err != nil || !reflect.DeepEqual(execResp, gotExecResp) {
+		t.Fatalf("execute batch response: %v\n in: %+v\nout: %+v", err, execResp, gotExecResp)
 	}
 }
 
@@ -189,28 +214,77 @@ func TestDecodeRejectsOverlongBlob(t *testing.T) {
 	}
 }
 
+// batchDecoders are the four batch-payload decoders, by name; the
+// bounds tests below feed them hostile input.
+var batchDecoders = map[string]func([]byte) error{
+	"DecodeBatchRequest":         func(b []byte) error { _, err := DecodeBatchRequest(b); return err },
+	"DecodeBatchResponse":        func(b []byte) error { _, err := DecodeBatchResponse(b); return err },
+	"DecodeExecuteBatchRequest":  func(b []byte) error { _, err := DecodeExecuteBatchRequest(b); return err },
+	"DecodeExecuteBatchResponse": func(b []byte) error { _, err := DecodeExecuteBatchResponse(b); return err },
+}
+
+// maxRejectBytes bounds what decoding a rejected payload may allocate:
+// the error text, and at most a slice for the calls whose bytes are
+// actually present. A count taken on trust would allocate tens of KiB.
+const maxRejectBytes = 1 << 10
+
+// allocatedBytes reports the heap bytes one call of f allocates,
+// averaged over 50 calls.
+func allocatedBytes(f func()) uint64 {
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
 func TestDecodeTruncatedMessages(t *testing.T) {
-	// Every proper prefix of a valid message must fail cleanly, never
-	// panic or succeed.
-	full := AppendOffloadResponse(nil, canonicalOffloadResponse())
-	for i := 0; i < len(full); i++ {
-		if _, err := DecodeOffloadResponse(full[:i]); err == nil {
-			t.Fatalf("truncation at %d/%d accepted", i, len(full))
+	// Every proper prefix of a valid message must fail cleanly with
+	// ErrBadFrame, never panic or succeed, and allocate nothing for
+	// calls whose bytes are not there.
+	for name, tc := range map[string]struct {
+		enc    []byte
+		decode func([]byte) error
+	}{
+		"DecodeOffloadResponse": {AppendOffloadResponse(nil, canonicalOffloadResponse()),
+			func(b []byte) error { _, err := DecodeOffloadResponse(b); return err }},
+		"DecodeExecuteBatchRequest": {AppendExecuteBatchRequest(nil, canonicalExecuteBatchRequest()),
+			batchDecoders["DecodeExecuteBatchRequest"]},
+		"DecodeExecuteBatchResponse": {AppendExecuteBatchResponse(nil, canonicalExecuteBatchResponse()),
+			batchDecoders["DecodeExecuteBatchResponse"]},
+	} {
+		enc, decode := tc.enc, tc.decode
+		for i := 0; i < len(enc); i++ {
+			prefix := enc[:i]
+			if err := decode(prefix); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: truncation at %d/%d: want ErrBadFrame, got %v", name, i, len(enc), err)
+			}
+			if n := allocatedBytes(func() { _ = decode(prefix) }); n > maxRejectBytes {
+				t.Errorf("%s: truncation at %d/%d allocated %d B", name, i, len(enc), n)
+			}
 		}
 	}
 }
 
 func TestBatchCountCapped(t *testing.T) {
-	// Declared count above MaxBatchCalls.
-	huge := []byte{0x81, 0x10} // uvarint 2049 > MaxBatchCalls
-	if _, err := DecodeBatchRequest(huge); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversized batch count accepted: %v", err)
+	lies := map[string][]byte{
+		"count over MaxBatchCalls": {0x81, 0x10}, // uvarint 2049
+		// Within the cap but beyond the bytes present: rejected before
+		// the per-call slice is allocated.
+		"count over the bytes present": {0xff, 0x07}, // uvarint 1023, no call bytes follow
 	}
-	// Declared count within the cap but exceeding the bytes present:
-	// rejected before the per-call slice is allocated.
-	short := []byte{0xff, 0x07} // uvarint 1023, no call bytes follow
-	if _, err := DecodeBatchRequest(short); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("lying batch count accepted: %v", err)
+	for name, decode := range batchDecoders {
+		for lie, b := range lies {
+			if err := decode(b); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s, %s: want ErrBadFrame, got %v", name, lie, err)
+			}
+			if n := allocatedBytes(func() { _ = decode(b) }); n > maxRejectBytes {
+				t.Errorf("%s, %s: allocated %d B before rejecting", name, lie, n)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ type Frame struct {
 	Version byte
 	// Type is the frame kind (FrameRequest..FrameError).
 	Type byte
-	// Flags carry the request method or the batch direction; meaning
+	// Flags carry the request method or the batch direction and kind; meaning
 	// depends on Type (see the package doc).
 	Flags byte
 	// StreamID multiplexes concurrent calls over one connection: a
@@ -44,7 +44,7 @@ func validHeader(version, ftype, flags byte) error {
 			return fmt.Errorf("%w: unexpected flags %#x on frame type %d", ErrBadFrame, flags, ftype)
 		}
 	case FrameBatch:
-		if flags&^byte(FlagBatchResponse) != 0 {
+		if flags&^byte(FlagBatchResponse|FlagBatchExecute) != 0 {
 			return fmt.Errorf("%w: unknown batch flags %#x", ErrBadFrame, flags)
 		}
 	default:

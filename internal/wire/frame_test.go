@@ -38,6 +38,10 @@ func goldenFrames() map[string]Frame {
 			Payload: AppendBatchRequest(nil, BatchRequest{Calls: []OffloadRequest{canonicalOffloadRequest()}})},
 		"batch-response": {Version: Version1, Type: FrameBatch, Flags: FlagBatchResponse, StreamID: 4,
 			Payload: AppendBatchResponse(nil, BatchResponse{Results: []BatchResult{{Code: 200, Resp: canonicalOffloadResponse()}}})},
+		"execute-batch-request": {Version: Version1, Type: FrameBatch, Flags: FlagBatchExecute, StreamID: 6,
+			Payload: AppendExecuteBatchRequest(nil, canonicalExecuteBatchRequest())},
+		"execute-batch-response": {Version: Version1, Type: FrameBatch, Flags: FlagBatchResponse | FlagBatchExecute, StreamID: 6,
+			Payload: AppendExecuteBatchResponse(nil, canonicalExecuteBatchResponse())},
 		"error": {Version: Version1, Type: FrameError, StreamID: 5,
 			Payload: AppendErrorFrame(nil, ErrorFrame{Code: 503, Message: "router: no backend for group 9"})},
 		"wide-stream-id": {Version: Version1, Type: FrameRequest, Flags: MethodPing, StreamID: 1 << 40},
@@ -134,7 +138,7 @@ func TestHeaderStrictness(t *testing.T) {
 		"unknown request flags":  mutate(3, 0x80),
 		"flags on response":      AppendFrame(nil, Frame{Type: FrameResponse, Flags: 0x01, StreamID: 1}),
 		"flags on error":         AppendFrame(nil, Frame{Type: FrameError, Flags: 0x04, StreamID: 1}),
-		"unknown batch flags":    AppendFrame(nil, Frame{Type: FrameBatch, Flags: 0x02, StreamID: 1}),
+		"unknown batch flags":    AppendFrame(nil, Frame{Type: FrameBatch, Flags: 0x04, StreamID: 1}),
 		"empty body":             {0x00},
 		"stream id truncated":    {0x04, Version1, FrameRequest, MethodPing, 0x80},
 		"length prefix overlong": append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, valid[1:]...),

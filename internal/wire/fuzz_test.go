@@ -57,13 +57,103 @@ func FuzzDecodeFrame(f *testing.F) {
 			_, _ = DecodeOffloadResponse(fr.Payload)
 			_, _ = DecodeExecuteResponse(fr.Payload)
 		case FrameBatch:
-			if fr.Flags&FlagBatchResponse != 0 {
-				_, _ = DecodeBatchResponse(fr.Payload)
-			} else {
+			switch fr.Flags {
+			case 0:
 				_, _ = DecodeBatchRequest(fr.Payload)
+			case FlagBatchResponse:
+				_, _ = DecodeBatchResponse(fr.Payload)
+			case FlagBatchExecute:
+				_, _ = DecodeExecuteBatchRequest(fr.Payload)
+			case FlagBatchResponse | FlagBatchExecute:
+				_, _ = DecodeExecuteBatchResponse(fr.Payload)
+			default:
+				t.Fatalf("batch flags %#x passed the header check", fr.Flags)
 			}
 		case FrameError:
 			_, _ = DecodeErrorFrame(fr.Payload)
+		}
+	})
+}
+
+// FuzzExecuteBatchRoundTrip: any batch of states, and any batch of
+// results, survives encode → frame → decode bit-exactly, through the
+// public decoders and through the server's pooled one. Members split
+// data between them, so one batch mixes empty and non-empty blobs.
+func FuzzExecuteBatchRoundTrip(f *testing.F) {
+	f.Add(uint8(2), "fibonacci", 7, []byte(`{"n":1}{"n":2}`), int64(9), 0.5, "s1", "", uint64(1))
+	f.Add(uint8(0), "", 0, []byte(nil), int64(0), 0.0, "", "", uint64(0))
+	f.Add(uint8(8), "sieve", -40, []byte{1, 2, 3}, int64(-1), math.NaN(), "surrogate-g1-0", "dalvik: boom", uint64(1)<<63)
+	f.Add(uint8(255), "üñî", math.MaxInt, bytes.Repeat([]byte{0xab}, 300), int64(math.MinInt64), math.Inf(-1), "\x00", "\xff", uint64(42))
+	f.Fuzz(func(t *testing.T, members uint8, task string, size int, data []byte, ops int64, cloudMs float64, server, errMsg string, streamID uint64) {
+		n := int(members) % 65
+		req := ExecuteBatchRequest{Calls: make([]ExecuteRequest, n)}
+		resp := ExecuteBatchResponse{Results: make([]ExecuteResponse, n)}
+		for i := range n {
+			chunk := data[i*len(data)/n : (i+1)*len(data)/n]
+			req.Calls[i].State = tasks.State{Task: task, Size: size ^ i, Data: chunk}
+			resp.Results[i] = ExecuteResponse{
+				Result:  tasks.Result{Task: task, Data: chunk, Ops: ops - int64(i)},
+				CloudMs: cloudMs, Server: server,
+			}
+			if i%2 == 1 {
+				resp.Results[i].Error = errMsg
+			}
+		}
+		payload := func(flags byte, p []byte) []byte {
+			frame := AppendFrame(nil, Frame{Type: FrameBatch, Flags: flags, StreamID: streamID, Payload: p})
+			fr, used, err := DecodeFrame(frame, 0)
+			if err != nil || used != len(frame) {
+				t.Fatalf("own frame rejected: %v (consumed %d of %d)", err, used, len(frame))
+			}
+			if fr.Type != FrameBatch || fr.Flags != flags || fr.StreamID != streamID {
+				t.Fatalf("header mangled: %+v", fr)
+			}
+			return fr.Payload
+		}
+		// nil and empty are canonically nil after a round trip.
+		sameBlob := func(got, sent []byte) bool {
+			if len(sent) == 0 {
+				return got == nil
+			}
+			return bytes.Equal(got, sent)
+		}
+
+		reqPayload := payload(FlagBatchExecute, AppendExecuteBatchRequest(nil, req))
+		gotReq, err := DecodeExecuteBatchRequest(reqPayload)
+		if err != nil {
+			t.Fatalf("own request rejected: %v", err)
+		}
+		stale := make([]ExecuteRequest, 3, 3+n%5) // a pooled slice with leftovers
+		pooled, err := decodeExecuteCalls(reqPayload, stale)
+		if err != nil {
+			t.Fatalf("pooled decode rejected own request: %v", err)
+		}
+		for _, calls := range [][]ExecuteRequest{gotReq.Calls, pooled} {
+			if len(calls) != n {
+				t.Fatalf("%d calls decoded, %d sent", len(calls), n)
+			}
+			for i, c := range calls {
+				sent := req.Calls[i].State
+				if c.State.Task != sent.Task || c.State.Size != sent.Size || !sameBlob(c.State.Data, sent.Data) {
+					t.Fatalf("call %d: got %+v, sent %+v", i, c.State, sent)
+				}
+			}
+		}
+
+		gotResp, err := DecodeExecuteBatchResponse(payload(FlagBatchResponse|FlagBatchExecute, AppendExecuteBatchResponse(nil, resp)))
+		if err != nil {
+			t.Fatalf("own response rejected: %v", err)
+		}
+		if len(gotResp.Results) != n {
+			t.Fatalf("%d results decoded, %d sent", len(gotResp.Results), n)
+		}
+		for i, r := range gotResp.Results {
+			sent := resp.Results[i]
+			if r.Result.Task != sent.Result.Task || r.Result.Ops != sent.Result.Ops || !sameBlob(r.Result.Data, sent.Result.Data) ||
+				r.Server != sent.Server || r.Error != sent.Error ||
+				math.Float64bits(r.CloudMs) != math.Float64bits(sent.CloudMs) {
+				t.Fatalf("result %d: got %+v, sent %+v", i, r, sent)
+			}
 		}
 	})
 }

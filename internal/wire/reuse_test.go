@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -285,6 +286,36 @@ func TestInternBounded(t *testing.T) {
 	}
 	if got := intern([]byte("fibonacci")); got != "fibonacci" || len(internTable()) != 2 {
 		t.Fatalf("after the restart: %q, %d entries", got, len(internTable()))
+	}
+}
+
+// TestBatchSlotsReleaseClears: the server's pooled execute-batch slices
+// go back to the pool holding only zero values, over their whole
+// capacity, so a parked slice keeps no State or Result — nor the
+// inbound payload their Data aliases — reachable. Nothing else in the
+// test binary serves while this runs, so no one can take the slots
+// back out of the pool before they are inspected.
+func TestBatchSlotsReleaseClears(t *testing.T) {
+	b := getBatchSlots()
+	var err error
+	if b.calls, err = decodeExecuteCalls(AppendExecuteBatchRequest(nil, canonicalExecuteBatchRequest()), b.calls); err != nil {
+		t.Fatal(err)
+	}
+	b.out = append(b.out, canonicalExecuteBatchResponse().Results...)
+	calls, out := b.calls[:cap(b.calls)], b.out[:cap(b.out)]
+	b.release()
+	if len(b.calls) != 0 || len(b.out) != 0 {
+		t.Fatalf("released slots keep lengths %d and %d", len(b.calls), len(b.out))
+	}
+	for i, c := range calls {
+		if !reflect.DeepEqual(c, ExecuteRequest{}) {
+			t.Errorf("released call slot %d holds %+v", i, c)
+		}
+	}
+	for i, r := range out {
+		if !reflect.DeepEqual(r, ExecuteResponse{}) {
+			t.Errorf("released result slot %d holds %+v", i, r)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,14 +19,20 @@ type Handlers struct {
 	// Offload serves one offload call, returning the response and its
 	// HTTP-equivalent status code (200 on success) — the same pair the
 	// JSON compat handler produces, so both protocols classify
-	// failures identically. Batch frames fan out through this handler
-	// one call at a time, which is what keeps pick policies, in-flight
-	// counters, health observation, and chaos injection seeing
-	// individual calls.
+	// failures identically. Offload batch frames fan out through this
+	// handler one call at a time, which is what keeps pick policies,
+	// in-flight counters, health observation, and chaos injection
+	// seeing individual calls.
 	Offload func(ctx context.Context, req OffloadRequest) (OffloadResponse, int)
 	// Execute serves one direct surrogate execution (errors travel in
 	// the response's Error field, mirroring the HTTP surrogate).
 	Execute func(ctx context.Context, req ExecuteRequest) ExecuteResponse
+	// ExecuteBatch serves one execute-batch frame: it fills out[i] with
+	// the answer to calls[i] (len(out) == len(calls)), each member's
+	// failure in its own Error field. Both slices are pooled and cleared
+	// once the reply is written, so the handler must not keep them;
+	// the State.Data it was handed stays valid.
+	ExecuteBatch func(ctx context.Context, calls []ExecuteRequest, out []ExecuteResponse)
 }
 
 // Server accepts binary protocol connections and dispatches frames.
@@ -230,6 +237,10 @@ func (s *Server) dispatch(ctx context.Context, w *frameWriter, f Frame) {
 			w.writeError(f.StreamID, http.StatusBadRequest, "wire: batch response frame sent to server")
 			return
 		}
+		if f.Flags&FlagBatchExecute != 0 {
+			s.executeBatch(ctx, w, f)
+			return
+		}
 		if s.H.Offload == nil {
 			w.writeError(f.StreamID, http.StatusNotImplemented, "wire: offload not served here")
 			return
@@ -256,4 +267,24 @@ func (s *Server) dispatch(ctx context.Context, w *frameWriter, f Frame) {
 		// server; answer with a protocol error on the same stream.
 		w.writeError(f.StreamID, http.StatusBadRequest, "wire: unexpected frame type from client")
 	}
+}
+
+// executeBatch serves one execute-batch frame: the calls decode into a
+// pooled slice, the handler fills a pooled result slice in call order,
+// and one response frame answers the whole batch.
+func (s *Server) executeBatch(ctx context.Context, w *frameWriter, f Frame) {
+	if s.H.ExecuteBatch == nil {
+		w.writeError(f.StreamID, http.StatusNotImplemented, "wire: execute batch not served here")
+		return
+	}
+	b := getBatchSlots()
+	defer b.release()
+	var err error
+	if b.calls, err = decodeExecuteCalls(f.Payload, b.calls); err != nil {
+		w.writeError(f.StreamID, http.StatusBadRequest, err.Error())
+		return
+	}
+	b.out = slices.Grow(b.out, len(b.calls))[:len(b.calls)]
+	s.H.ExecuteBatch(ctx, b.calls, b.out)
+	reply(w, FrameBatch, FlagBatchResponse|FlagBatchExecute, f.StreamID, AppendExecuteBatchResponse, ExecuteBatchResponse{Results: b.out})
 }

@@ -20,9 +20,12 @@
 //	FrameRequest  — one call; flags bits 0-1 select the method
 //	                (offload, execute, ping)
 //	FrameResponse — the reply to a FrameRequest (empty for ping)
-//	FrameBatch    — a chain of offload calls in one frame; flag bit 0
-//	                distinguishes the request (0) from the response (1)
-//	                direction
+//	FrameBatch    — many calls in one frame; flag bit 0 distinguishes the
+//	                request (0) from the response (1) direction, flag
+//	                bit 1 selects the batch: offload calls through a
+//	                front-end (0) or states executed on a surrogate (1),
+//	                so one dynamic batch costs one request frame and one
+//	                response frame
 //	FrameError    — a protocol- or routing-level failure, carrying an
 //	                HTTP-equivalent status code so the JSON compat mode
 //	                and the binary mode classify errors identically
@@ -67,9 +70,16 @@ const (
 	methodMask = 0x03
 )
 
-// FlagBatchResponse marks a FrameBatch that carries responses rather
-// than calls (server→client direction).
-const FlagBatchResponse = 0x01
+// Batch-frame flags.
+const (
+	// FlagBatchResponse marks a FrameBatch that carries responses rather
+	// than calls (server→client direction).
+	FlagBatchResponse = 0x01
+	// FlagBatchExecute marks a FrameBatch that carries surrogate
+	// executions (ExecuteBatchRequest / ExecuteBatchResponse) rather
+	// than offload calls.
+	FlagBatchExecute = 0x02
+)
 
 // DefaultMaxFrame bounds a frame's declared length: the HTTP compat
 // mode's 8 MiB body limit, doubled so a full batch of maximum-size
