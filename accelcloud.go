@@ -292,21 +292,11 @@ type (
 	OffloadResponse = rpc.OffloadResponse
 	// WireServer serves the binary framed protocol (DESIGN.md §8).
 	WireServer = wire.Server
-	// RPCBenchConfig sizes a wire-protocol overhead measurement.
-	RPCBenchConfig = loadgen.RPCBenchConfig
-	// RPCBenchReport is the BENCH_rpc.json overhead matrix.
-	RPCBenchReport = loadgen.RPCBenchReport
 )
 
 // BinaryScheme prefixes binary framed-protocol addresses
 // (bin://host:port) anywhere a front-end or backend URL is accepted.
 const BinaryScheme = rpc.BinaryScheme
-
-// RunRPCBench measures the {JSON, binary} × {single, batched}
-// protocol-overhead matrix against hermetic clusters.
-func RunRPCBench(cfg RPCBenchConfig) (*RPCBenchReport, error) {
-	return loadgen.RunRPCBench(cfg)
-}
 
 // NewSurrogate creates an execution server; push tasks before serving.
 func NewSurrogate(name string, maxProcs int) (*Surrogate, error) {

@@ -10,10 +10,7 @@
 // change, not noise; router reports (BENCH_router.json) gate on the
 // rr-vs-mutex speedup (a throughput ratio, so largely machine-portable)
 // plus — within one machine class (same NumCPU and GOMAXPROCS) —
-// per-policy p99 pick latency; rpc reports (BENCH_rpc.json) gate on
-// the json-vs-binary overhead speedup (hard floor 5×) and the batched
-// chain-amortization ratio (hard ceiling 2×), both ratios measured
-// within one run so they stay machine-portable; serve reports
+// per-policy p99 pick latency; serve reports
 // (BENCH_serve.json) gate on the dynamic-batching throughput speedup
 // (hard floor 2×), the saturated hold ratio (hard ceiling 1.2), a
 // non-zero queue-full rejection count, and exact reproduction of the
@@ -118,9 +115,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if baseSchema == router.ReportSchema {
 		return diffRouter(out, *basePath, *curPath, *tolerance)
-	}
-	if baseSchema == loadgen.RPCBenchSchema {
-		return diffRPC(out, *basePath, *curPath, *tolerance)
 	}
 	if baseSchema == servebench.Schema {
 		return diffServe(out, *basePath, *curPath, *tolerance)
@@ -263,64 +257,6 @@ func diffRouter(out io.Writer, basePath, curPath string, tolerance float64) erro
 		// The gate's headline column cannot silently vanish (e.g. a
 		// -no-mutex-baseline run).
 		failures = append(failures, "baseline has an rr-vs-mutex speedup but the current report is missing the mutex baseline measurement")
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(out, "  REGRESSION: %s\n", f)
-		}
-		return fmt.Errorf("%d regression(s) beyond %.0f%% tolerance", len(failures), 100*tolerance)
-	}
-	fmt.Fprintln(out, "  OK: within tolerance")
-	return nil
-}
-
-// Hard floors every rpcbench report must clear regardless of the
-// baseline — the acceptance bar of the binary wire protocol: ≥5×
-// lower per-request overhead than sequential JSON, and an
-// 8-call batched chain within 2× a single call's latency.
-const (
-	minRPCSpeedup    = 5.0
-	maxRPCChainRatio = 2.0
-)
-
-// diffRPC gates an rpcbench report. Raw overhead microseconds move
-// with the host, so the gated columns are the two ratios measured
-// within one run on one host — the json-vs-binary overhead speedup and
-// the chain-amortization ratio — each against both its hard floor and
-// the committed baseline. The per-cell overheads are printed for
-// context only.
-func diffRPC(out io.Writer, basePath, curPath string, tolerance float64) error {
-	base, err := loadgen.ReadRPCBenchReportFile(basePath)
-	if err != nil {
-		return err
-	}
-	cur, err := loadgen.ReadRPCBenchReportFile(curPath)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "benchdiff: rpc baseline %s vs current %s (tolerance %.0f%%)\n",
-		basePath, curPath, 100*tolerance)
-	if base.ChainLen != cur.ChainLen {
-		return fmt.Errorf("chain lengths differ (baseline %d, current %d): reports are not comparable",
-			base.ChainLen, cur.ChainLen)
-	}
-	fmt.Fprintf(out, "  %-26s %12s %12s %10s\n", "metric", "baseline", "current", "change")
-	fmt.Fprintf(out, "  %-26s %12.1f %12.1f %10s\n", "json single overhead us", base.JSONSingleOverheadUs, cur.JSONSingleOverheadUs, pct(base.JSONSingleOverheadUs, cur.JSONSingleOverheadUs))
-	fmt.Fprintf(out, "  %-26s %12.1f %12.1f %10s\n", "bin single overhead us", base.BinSingleOverheadUs, cur.BinSingleOverheadUs, pct(base.BinSingleOverheadUs, cur.BinSingleOverheadUs))
-	fmt.Fprintf(out, "  %-26s %12.1f %12.1f %10s\n", "bin batched overhead us", base.BinBatchOverheadUs, cur.BinBatchOverheadUs, pct(base.BinBatchOverheadUs, cur.BinBatchOverheadUs))
-	fmt.Fprintf(out, "  %-26s %12.2f %12.2f %10s\n", "speedup json/bin", base.Speedup, cur.Speedup, pct(base.Speedup, cur.Speedup))
-	fmt.Fprintf(out, "  %-26s %12.2f %12.2f %10s\n", "chain ratio", base.ChainRatio, cur.ChainRatio, pct(base.ChainRatio, cur.ChainRatio))
-
-	var failures []string
-	if cur.Speedup < minRPCSpeedup {
-		failures = append(failures, fmt.Sprintf("overhead speedup %.2fx below the %.1fx floor", cur.Speedup, minRPCSpeedup))
-	}
-	if base.Speedup > 0 && cur.Speedup < base.Speedup*(1-tolerance) {
-		failures = append(failures, fmt.Sprintf("overhead speedup regressed %s (%.2fx -> %.2fx)",
-			pct(base.Speedup, cur.Speedup), base.Speedup, cur.Speedup))
-	}
-	if cur.ChainRatio > maxRPCChainRatio {
-		failures = append(failures, fmt.Sprintf("chain ratio %.2fx above the %.1fx ceiling", cur.ChainRatio, maxRPCChainRatio))
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {

@@ -2,14 +2,18 @@ package dalvik
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"accelcloud/internal/rpc"
 	"accelcloud/internal/sim"
 	"accelcloud/internal/tasks"
+	"accelcloud/internal/testkit"
 )
 
 func newLoaded(t *testing.T) *Surrogate {
@@ -132,6 +136,52 @@ func TestExecuteConcurrent(t *testing.T) {
 	// must be accounted.
 	if int(st.Executed+st.Rejected+st.Failed) != len(states) {
 		t.Fatalf("accounting broken: %+v for %d requests", st, len(states))
+	}
+}
+
+// TestOversizedBodyIsBadRequest: a well-formed JSON body one byte over
+// rpc's 8 MiB bound is refused as too large with a 400 — not cut short
+// into a syntax error about its prefix.
+func TestOversizedBodyIsBadRequest(t *testing.T) {
+	srv := httptest.NewServer(newLoaded(t).Handler())
+	defer srv.Close()
+	const maxBody = 8 << 20
+	const open, closing = `{"pad":"`, `"}`
+	body := open + strings.Repeat("a", maxBody+1-len(open)-len(closing)) + closing
+	resp, err := http.Post(srv.URL+rpc.PathExecute, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out rpc.ExecuteResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "body exceeds") {
+		t.Fatalf("body of 8 MiB + 1: status %d, error %q", resp.StatusCode, out.Error)
+	}
+}
+
+// TestJSONExecuteAllocationBudget: one rpc.Client.Execute round trip
+// over JSON to an in-process surrogate, both ends counted.
+func TestJSONExecuteAllocationBudget(t *testing.T) {
+	if testkit.Race {
+		t.Skip("the race detector allocates")
+	}
+	c := dial(t, "http", newLoaded(t))
+	st, err := tasks.Fibonacci{}.Generate(sim.NewRNG(1).Stream("gen"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	execute := func() {
+		if _, err := c.Execute(ctx, rpc.ExecuteRequest{State: st}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	execute()
+	if n := testing.AllocsPerRun(1000, execute); n > 122 {
+		t.Errorf("rpc.Client.Execute over JSON allocates %.1f per call, budget 122", n)
 	}
 }
 

@@ -11,37 +11,49 @@ import (
 	"accelcloud/internal/tasks"
 )
 
-// poolBalanced polls the encode-buffer pool counters until every Get
-// taken since the baseline has been matched by a Put or Discard. The
-// wait matters: the HTTP transport may close (and thereby release) a
-// request body on its own goroutine after Do returns.
-func poolBalanced(t *testing.T, baseGets, basePuts, baseDiscards int64) {
+// poolBalanced polls the pool counters until every Get taken since the
+// baseline has been matched by a Put or Discard, and at least minGets
+// were taken. The wait matters: a server handler may still be reading
+// a request body (and holding its read buffer) after the client call
+// has returned.
+func poolBalanced(t *testing.T, baseGets, basePuts, baseDiscards, minGets int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		gets, puts, discards := PoolCounters()
 		dGets, dPuts, dDiscards := gets-baseGets, puts-basePuts, discards-baseDiscards
-		if dGets == dPuts+dDiscards {
+		if dGets >= minGets && dGets == dPuts+dDiscards {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("encode buffer pool leaked: %d gets vs %d puts + %d discards since baseline",
-				dGets, dPuts, dDiscards)
+			t.Fatalf("buffer pool unbalanced: %d gets (want >= %d) vs %d puts + %d discards since baseline",
+				dGets, minGets, dPuts, dDiscards)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestEncodeBufPoolBalanced is the buffer-leak regression test: every
-// pooled encode buffer taken on the client post path must return to
-// the pool, error paths included — a sustained 5xx burst or a dead
+// pooled buffer taken on the JSON path — the client's request encode
+// and response read, the server's ReadJSON and WriteJSON — must return
+// to the pool, error paths included: a sustained 5xx burst or a dead
 // peer must not bleed buffers.
 func TestEncodeBufPoolBalanced(t *testing.T) {
+	// Every handler reads its request through ReadJSON, so the server's
+	// read buffers are walked on each path the client takes.
+	readReq := func(r *http.Request) {
+		var in OffloadRequest
+		if err := ReadJSON(r, &in); err != nil || in.State.Task != "sieve" {
+			t.Errorf("handler read %+v, %v", in, err)
+		}
+	}
 	okSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		readReq(r)
 		WriteJSON(w, http.StatusOK, OffloadResponse{Server: "s"})
 	}))
 	defer okSrv.Close()
 	errSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		readReq(r)
 		WriteJSON(w, http.StatusInternalServerError, OffloadResponse{Error: "boom"})
 	}))
 	defer errSrv.Close()
@@ -51,6 +63,10 @@ func TestEncodeBufPoolBalanced(t *testing.T) {
 	// and hungSrv.Close blocks until every handler returns.
 	hungDone := make(chan struct{})
 	hungSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The client may time out before this read; a cut body still
+		// takes and returns a buffer.
+		var in OffloadRequest
+		_ = ReadJSON(r, &in)
 		select {
 		case <-r.Context().Done():
 		case <-hungDone:
@@ -64,12 +80,13 @@ func TestEncodeBufPoolBalanced(t *testing.T) {
 		State: tasks.State{Task: "sieve", Size: 10}}
 
 	ctx := context.Background()
-	for i := 0; i < 20; i++ {
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
 		// Success path.
 		if _, err := NewClient(okSrv.URL).Offload(ctx, req); err != nil {
 			t.Fatalf("ok server errored: %v", err)
 		}
-		// 5xx path, with retries so the same buffer is replayed.
+		// 5xx path, with retries: every attempt takes its own buffers.
 		c := NewClient(errSrv.URL)
 		c.Retry = NewRetryPolicy(3, time.Millisecond, 5*time.Millisecond, int64(i))
 		if _, err := c.Offload(ctx, req); err == nil {
@@ -79,15 +96,18 @@ func TestEncodeBufPoolBalanced(t *testing.T) {
 		if _, err := NewClient("http://127.0.0.1:1").Offload(ctx, req); err == nil {
 			t.Fatal("dead address succeeded")
 		}
-		// Timeout path: the transport is still reading the body when the
-		// context fires.
+		// Timeout path: the context fires while the client waits for an
+		// answer.
 		tc := NewClient(hungSrv.URL)
 		tc.Timeout = 20 * time.Millisecond
 		if _, err := tc.Offload(ctx, req); err == nil {
 			t.Fatal("hung server succeeded")
 		}
 	}
-	poolBalanced(t, baseGets, basePuts, baseDiscards)
+	// Buffers each round is sure to take: ok is four (client encode and
+	// read, server read and write), each of the three 5xx attempts three
+	// (no client read), refused and timeout one client encode each.
+	poolBalanced(t, baseGets, basePuts, baseDiscards, rounds*(4+3*3+1+1))
 }
 
 // TestEncodeBufPoolDiscardsOversized proves a huge one-off state

@@ -61,9 +61,14 @@ var ErrQueueFull = errors.New(MsgQueueFull)
 // composes identically over both transports.
 const BinaryScheme = "bin://"
 
-// maxBodyBytes bounds request bodies (application states are small; the
-// homogeneous model ships method parameters, not bulk data).
+// maxBodyBytes bounds JSON bodies in both directions (application
+// states are small; the homogeneous model ships method parameters, not
+// bulk data).
 const maxBodyBytes = 8 << 20
+
+// errBodyTooLarge rejects a JSON body over maxBodyBytes outright; cut
+// short instead, it would surface as a syntax error about its prefix.
+var errBodyTooLarge = fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
 
 // The protocol DTOs live in internal/wire so the binary framing and
 // the JSON compat mode share one set of structs; the historical rpc
@@ -91,10 +96,12 @@ type (
 	ExecuteBatchResponse = wire.ExecuteBatchResponse
 )
 
-// encodeBufPool recycles encode buffers across requests. The front-end
-// marshals twice per proxied request (the surrogate hop and the client
-// response); at load-generator concurrency the per-call allocations
-// were a measurable share of the routing layer's GC pressure.
+// encodeBufPool recycles the JSON mode's staging buffers across
+// requests: encoder output (WriteJSON, postJSON) and inbound bodies
+// (decodeBody). The front-end marshals and reads twice per proxied
+// request (the surrogate hop and the client edge); at load-generator
+// concurrency the per-call allocations were a measurable share of the
+// routing layer's GC pressure.
 var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBufBytes caps what is returned to the pool so one huge
@@ -157,14 +164,38 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 
 // ReadJSON decodes a bounded request body into v.
 func ReadJSON(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("rpc: read body: %w", err)
-	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := decodeBody(r.Body, v); err != nil {
 		return fmt.Errorf("rpc: decode body: %w", err)
 	}
 	return nil
+}
+
+// decodeBody reads a JSON body to EOF into a pooled buffer and
+// unmarshals it into v. The buffer grows only with the bytes actually
+// received, never with a declared Content-Length — the rule
+// wire.ReadFrame follows — and a recycled one already has its capacity.
+// Releasing the buffer right after Unmarshal is safe: encoding/json
+// copies strings and RawMessage values out of its input, so nothing
+// decoded aliases it. The loop reads straight into the buffer's free
+// space, capped one byte past the bound, so no limiting reader is
+// allocated per call.
+func decodeBody(r io.Reader, v any) error {
+	buf := getEncodeBuf()
+	defer putEncodeBuf(buf)
+	for {
+		buf.Grow(bytes.MinRead)
+		free := buf.AvailableBuffer()
+		n, err := r.Read(free[:min(cap(free), maxBodyBytes+1-buf.Len())])
+		buf.Write(free[:n])
+		switch {
+		case buf.Len() > maxBodyBytes:
+			return errBodyTooLarge
+		case err == io.EOF:
+			return json.Unmarshal(buf.Bytes(), v)
+		case err != nil:
+			return err
+		}
+	}
 }
 
 // defaultHTTPClient is shared by every Client whose HTTPClient field is
@@ -283,41 +314,6 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// pooledPayload is a marshaled request body backed by a pooled encode
-// buffer, released to the pool only when its last reader is closed.
-// Reference counting matters because the transport may read (and will
-// close) a request body in a separate goroutine even after Do returns,
-// and GetBody can mint additional readers for transparent retries of
-// POSTs on stale keep-alive connections — all of them share the one
-// buffer, and whichever finishes last recycles it.
-type pooledPayload struct {
-	buf  *bytes.Buffer
-	refs atomic.Int32
-}
-
-func (p *pooledPayload) release() {
-	if p.refs.Add(-1) == 0 {
-		putEncodeBuf(p.buf)
-	}
-}
-
-// newReader mints one counted reader over the payload bytes.
-func (p *pooledPayload) newReader() io.ReadCloser {
-	p.refs.Add(1)
-	return &payloadReader{Reader: bytes.NewReader(p.buf.Bytes()), payload: p}
-}
-
-type payloadReader struct {
-	*bytes.Reader
-	payload *pooledPayload
-	once    sync.Once
-}
-
-func (r *payloadReader) Close() error {
-	r.once.Do(func() { r.payload.release() })
-	return nil
-}
-
 // method describes one RPC on both transports: its HTTP path for the
 // JSON mode, and how the framed mode sends it and decodes the answer.
 // The type parameters keep the binary path free of interface boxing.
@@ -342,11 +338,8 @@ var (
 
 // post sends one request over the configured transport. A bin://
 // BaseURL routes through the binary framed protocol (binary.go);
-// otherwise the request is marshaled as JSON into a pooled buffer that
-// is recycled once the HTTP transport releases it — on the front-end's
-// proxy hop this runs once per offloaded request. The response comes
-// back by value, so a failed attempt never leaves a half-decoded one
-// behind.
+// otherwise it is one JSON POST (postJSON). The response comes back by
+// value, so a failed attempt never leaves a half-decoded one behind.
 func post[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], deadline time.Time, in Req) (Resp, error) {
 	if c.binary() {
 		return binPost(ctx, c, m, deadline, in)
@@ -359,40 +352,41 @@ func post[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], d
 // binary reports whether the client speaks the framed protocol.
 func (c *Client) binary() bool { return strings.HasPrefix(c.BaseURL, BinaryScheme) }
 
+// postJSON sends in as one JSON POST and decodes the 200 answer into
+// out. The request owns its body: the encoder output is copied out of
+// the pooled buffer, because the transport may still read a body after
+// Do returns. A *bytes.Reader body is one net/http knows to be in
+// memory, so headers and body leave in one write, and
+// NewRequestWithContext sets ContentLength and a GetBody that replays
+// the same bytes on a stale keep-alive connection.
 func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	buf := getEncodeBuf()
-	payload := &pooledPayload{buf: buf}
-	payload.refs.Store(1) // post's own reference, released on return
-	defer payload.release()
-	if err := json.NewEncoder(buf).Encode(in); err != nil {
+	err := json.NewEncoder(buf).Encode(in)
+	payload := bytes.Clone(buf.Bytes())
+	putEncodeBuf(buf)
+	if err != nil {
 		return fmt.Errorf("rpc: marshal request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(buf.Bytes()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(payload))
 	if err != nil {
 		return fmt.Errorf("rpc: build request: %w", err)
 	}
-	// Replace the plain reader with counted ones: the transport closes
-	// every body it is handed (initial and GetBody replays alike), so
-	// the buffer returns to the pool exactly once, after its last use.
-	// ContentLength was already set from the reader above.
-	req.Body = payload.newReader()
-	req.GetBody = func() (io.ReadCloser, error) { return payload.newReader(), nil }
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return fmt.Errorf("rpc: %s: %w", path, err)
 	}
-	defer func() {
-		// Draining the body lets the transport reuse the connection.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
+	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		// Draining the rest lets the transport reuse the connection.
+		_, _ = io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("rpc: %s: %w", path,
 			&StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))})
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
+	// decodeBody reads to EOF, which hands the connection back to the
+	// transport; an oversized body is closed without draining.
+	if err := decodeBody(resp.Body, out); err != nil {
 		return fmt.Errorf("rpc: decode response: %w", err)
 	}
 	return nil
