@@ -18,13 +18,14 @@
 // front-end↔surrogate hop binary too (the surrogate must serve
 // -proto binary|both); health probes follow the backend's protocol.
 //
-// -policy selects the routing pick policy (rr, least-inflight, p2c);
-// request logging runs through an async batching sink so the routing
-// hot path never blocks on trace persistence. -probe enables the
-// failure detector (internal/health): backends failing consecutive
-// heartbeats — or bursting errors on the data path — are ejected from
-// rotation and reinstated when they recover, so a killed surrogate
-// stops blackholing its group within a few probe intervals.
+// -policy selects the routing pick policy (rr, least-inflight, p2c, or
+// canary:version=weight); request logging runs through an async
+// batching sink so the routing hot path never blocks on trace
+// persistence. -probe enables the failure detector (internal/health):
+// backends failing consecutive heartbeats — or bursting errors on the
+// data path — are ejected from rotation and reinstated when they
+// recover, so a killed surrogate stops blackholing its group within a
+// few probe intervals.
 //
 // -region names the region this front-end serves in a multi-region
 // deployment: /stats reports the region label and a spilled counter of
@@ -63,7 +64,7 @@ import (
 
 // backendFlags collects repeated -backend group=url[@version] pairs.
 // The optional @version suffix labels the backend for the canary pick
-// policy ("-canary v2=0.05" routes 5% of picks to @v2 backends).
+// policy ("-policy canary:v2=0.05" routes 5% of picks to @v2 backends).
 type backendFlags []struct {
 	group   int
 	url     string
@@ -109,7 +110,7 @@ func run(args []string) error {
 	proto := fs.String("proto", "http", "client-facing protocol: http|binary|both (backends may independently be bin:// URLs)")
 	tracePath := fs.String("trace", "", "write the request log as CSV to this path on shutdown")
 	delay := fs.Duration("overhead", 0, "artificial routing delay (e.g. 150ms to mimic the paper)")
-	policyName := fs.String("policy", "rr", "pick policy: rr|least-inflight|p2c")
+	policyName := fs.String("policy", "rr", "pick policy: rr|least-inflight|p2c|canary:version=weight")
 	probe := fs.Duration("probe", 0, "failure-detector heartbeat period (0 disables health probing)")
 	probeTimeout := fs.Duration("probe-timeout", 0, "heartbeat deadline (0 = probe period)")
 	probeFail := fs.Int("probe-fail", 2, "consecutive failed probes before ejection")
@@ -122,7 +123,6 @@ func run(args []string) error {
 	linger := fs.Duration("linger", 0, "max wait to fill a batch (0 = default 2ms; needs -max-batch)")
 	coldAfter := fs.Duration("cold-after", 0, "park idle backends in the cold pool after this long (0 disables scale-to-zero)")
 	coldStart := fs.Duration("cold-start", 0, "simulated activation latency charged to the first request hitting a cold backend")
-	canary := fs.String("canary", "", "canary split version=weight (e.g. v2=0.05); shorthand for -policy canary:version=weight")
 	region := fs.String("region", "", "region name this front-end serves (labels /stats and counts spilled-over calls)")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the HTTP listener")
 	var backends backendFlags
@@ -135,12 +135,6 @@ func run(args []string) error {
 	}
 	if *proto != "http" && *proto != "binary" && *proto != "both" {
 		return fmt.Errorf("unknown -proto %q (want http|binary|both)", *proto)
-	}
-	if *canary != "" {
-		if *policyName != "rr" {
-			return fmt.Errorf("-canary and -policy are mutually exclusive")
-		}
-		*policyName = router.PolicyCanaryPrefix + *canary
 	}
 	policy, err := router.ParsePolicy(*policyName)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if _, err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "cluster:", err)
 		os.Exit(1)
 	}
@@ -36,36 +36,38 @@ func serve(handler http.Handler) (string, func(), error) {
 	return "http://" + ln.Addr().String(), func() { _ = srv.Close() }, nil
 }
 
-func run() error {
+// run boots the cluster, drives the offloads and returns how many trace
+// records the front-end logged.
+func run() (int, error) {
 	pool := accelcloud.DefaultTaskPool()
 
 	// Back-ends: one surrogate per acceleration group.
 	store := accelcloud.NewTraceStore()
-	fe, err := accelcloud.NewFrontEnd(store, 0)
+	fe, err := accelcloud.NewSDNFrontEnd(accelcloud.WithTrace(store))
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for group := 1; group <= 2; group++ {
 		sur, err := accelcloud.NewSurrogate(fmt.Sprintf("surrogate-g%d", group), 32)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		for _, name := range pool.Names() {
 			task, err := pool.ByName(name)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			if err := sur.Push(task); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		url, stop, err := serve(sur.Handler())
 		if err != nil {
-			return err
+			return 0, err
 		}
 		defer stop()
 		if err := fe.Register(group, url); err != nil {
-			return err
+			return 0, err
 		}
 		fmt.Printf("surrogate group %d: %s (%d bundles installed)\n",
 			group, url, len(sur.Installed()))
@@ -73,13 +75,13 @@ func run() error {
 
 	frontURL, stopFront, err := serve(fe.Handler())
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer stopFront()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := accelcloud.WaitHealthy(ctx, frontURL); err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Printf("sdn front-end     : %s\n\n", frontURL)
 
@@ -149,5 +151,5 @@ func run() error {
 			g, len(os), total/n, t2/n, cloud/n)
 	}
 	fmt.Printf("\ntrace records logged by the front-end: %d\n", store.Len())
-	return nil
+	return store.Len(), nil
 }

@@ -32,6 +32,7 @@ import (
 	"accelcloud/internal/allocate"
 	"accelcloud/internal/cloud"
 	"accelcloud/internal/predict"
+	"accelcloud/internal/router"
 	"accelcloud/internal/sdn"
 	"accelcloud/internal/sim"
 	"accelcloud/internal/trace"
@@ -443,7 +444,7 @@ func (c *Controller) reap() error {
 		if err := c.cfg.FrontEnd.Remove(m.group, m.backend.URL()); err != nil {
 			// A request may have landed between the checks; retry next
 			// slot rather than abandoning in-flight work.
-			if errors.Is(err, sdn.ErrBackendBusy) {
+			if errors.Is(err, router.ErrBackendBusy) {
 				remaining = append(remaining, m)
 				continue
 			}
@@ -517,7 +518,7 @@ func (c *Controller) repair(ctx context.Context) ([]int, error) {
 			}
 			m := c.active[g.Group][idx]
 			c.active[g.Group] = append(c.active[g.Group][:idx], c.active[g.Group][idx+1:]...)
-			if err := c.cfg.FrontEnd.Evict(g.Group, url); err != nil && !errors.Is(err, sdn.ErrUnknownBackend) {
+			if err := c.cfg.FrontEnd.Evict(g.Group, url); err != nil && !errors.Is(err, router.ErrUnknownBackend) {
 				return nil, fmt.Errorf("autoscale: evict dead %s: %w", m.id, err)
 			}
 			_ = m.backend.Close()

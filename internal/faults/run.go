@@ -197,7 +197,7 @@ func (t *timedHealth) forgetTime(url string) (time.Time, bool) {
 func targetURL(fe *sdn.FrontEnd, ev Event) string {
 	var candidates []string
 	for _, info := range fe.Pool(ev.Group) {
-		if info.State != sdn.BackendDraining {
+		if info.State != router.StateDraining {
 			candidates = append(candidates, info.URL)
 		}
 	}

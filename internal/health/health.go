@@ -62,20 +62,11 @@ const (
 	StatusDegraded Status = "degraded"
 )
 
-// ControlPlane is the slice of the routing control plane the detector
-// drives; *sdn.FrontEnd and *router.Router both implement it.
-type ControlPlane interface {
-	Eject(group int, url string) error
-	Reinstate(group int, url string) error
-	Pool(group int) []router.BackendInfo
-	Backends() map[int]int
-	ActiveCount(group int) int
-}
-
 // Config parameterizes a Manager.
 type Config struct {
-	// CP is the control plane whose backends are watched. Required.
-	CP ControlPlane
+	// CP is the control plane whose backends are watched (a
+	// *router.Router or an *sdn.FrontEnd). Required.
+	CP router.Control
 	// ProbeInterval is the heartbeat period (0 selects 250ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one heartbeat (0 selects ProbeInterval; a

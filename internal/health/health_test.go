@@ -35,7 +35,7 @@ func (p *probeTable) probe(_ context.Context, url string) error {
 	return nil
 }
 
-func newManager(t *testing.T, cp ControlPlane, pt *probeTable, mut func(*Config)) *Manager {
+func newManager(t *testing.T, cp router.Control, pt *probeTable, mut func(*Config)) *Manager {
 	t.Helper()
 	cfg := Config{
 		CP:            cp,

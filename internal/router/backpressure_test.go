@@ -201,20 +201,31 @@ func TestPickAllSaturated(t *testing.T) {
 	// the server. Cleanups run LIFO.
 	t.Cleanup(wg.Wait)
 	t.Cleanup(func() { close(release) })
-	for i := 0; i < 2; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_, _ = q.Submit(context.Background(), req)
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !q.Saturated() {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never saturated")
+	// Both conditions come true whatever the scheduling; the ceiling
+	// only turns a product bug into a message instead of the package
+	// timeout.
+	waitFor := func(cond func() bool) {
+		for start := time.Now(); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Since(start) > time.Minute {
+				t.Fatalf("queue never saturated: queued=%d executing=%d", q.Queued(), q.Executing())
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
+	// One job first, until the dispatcher holds it: two at once can
+	// both reach the depth-1 buffer before the dispatcher takes the
+	// first, the second is refused, and the queue then reads queued=0
+	// executing=1 for ever.
+	submit()
+	waitFor(func() bool { return q.Executing() == 1 })
+	submit()
+	waitFor(q.Saturated)
 	_, err := r.Pick(1)
 	if !errors.Is(err, ErrGroupSaturated) {
 		t.Fatalf("Pick = %v, want ErrGroupSaturated", err)

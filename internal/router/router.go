@@ -172,6 +172,29 @@ type Router struct {
 	activations   map[int]int64
 }
 
+// Control is the routing control plane: the backend lifecycle levers
+// the autoscale reconciler (Register, Drain, Remove, Evict), the
+// failure detector (Eject, Reinstate) and the daemons drive, plus the
+// read-only pool views they decide from. The data plane (Pick, Release,
+// CountDrop) and the construction setters are deliberately not part of
+// it. *Router implements it; sdn.FrontEnd exposes it by embedding.
+type Control interface {
+	Register(group int, baseURL string) error
+	RegisterVersion(group int, baseURL, version string) error
+	Drain(group int, baseURL string) error
+	Remove(group int, baseURL string) error
+	Inflight(group int, baseURL string) (int, error)
+	Eject(group int, baseURL string) error
+	Reinstate(group int, baseURL string) error
+	Evict(group int, baseURL string) error
+	TakeActivations() map[int]int64
+	Backends() map[int]int
+	Pool(group int) []BackendInfo
+	ActiveCount(group int) int
+}
+
+var _ Control = (*Router)(nil)
+
 // New builds an empty router. A nil policy selects round-robin.
 func New(policy Policy) *Router {
 	if policy == nil {

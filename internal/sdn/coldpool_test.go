@@ -63,7 +63,7 @@ func TestColdPoolParkAndActivate(t *testing.T) {
 		t.Fatalf("sweep parked %d backends, want 1", n)
 	}
 	pool := fe.Pool(1)
-	if len(pool) != 1 || !pool[0].Cold || pool[0].State != BackendCold {
+	if len(pool) != 1 || !pool[0].Cold || pool[0].State != router.StateCold {
 		t.Fatalf("pool after sweep = %+v", pool)
 	}
 	if fe.ActiveCount(1) != 0 {

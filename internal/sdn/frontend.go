@@ -18,42 +18,10 @@ import (
 	"accelcloud/internal/workers"
 )
 
-// BackendState is the lifecycle state of one registered surrogate.
-type BackendState = router.State
-
-const (
-	// BackendActive backends receive new requests.
-	BackendActive = router.StateActive
-	// BackendDraining backends finish their in-flight requests but are
-	// never picked for new ones — the scale-down path of the
-	// autoscaling control loop (DESIGN.md §5).
-	BackendDraining = router.StateDraining
-	// BackendEjected backends are fenced off by the failure detector
-	// (internal/health) — suspected dead or degraded, reversible via
-	// Reinstate (DESIGN.md §7).
-	BackendEjected = router.StateEjected
-	// BackendCold backends were scaled to zero after sitting idle;
-	// the first request of an all-cold group reactivates one, paying
-	// the configured cold-start latency (DESIGN.md §9).
-	BackendCold = router.StateCold
-)
-
 // statusClientClosedRequest is nginx's 499: the client abandoned the
 // request before the backend hop ran. A 4xx-class code, so the rpc
 // retry budget never re-sends it.
 const statusClientClosedRequest = 499
-
-// ErrBackendBusy is returned by Remove while a backend still has
-// in-flight requests; drain first and retry once Inflight reports 0.
-var ErrBackendBusy = router.ErrBackendBusy
-
-// ErrUnknownBackend is returned when a (group, url) pair is not
-// registered.
-var ErrUnknownBackend = router.ErrUnknownBackend
-
-// BackendInfo is a point-in-time snapshot of one backend, exposed by
-// Pool and the /stats endpoint.
-type BackendInfo = router.BackendInfo
 
 // FrontEnd is the real (HTTP) SDN-accelerator: it terminates client
 // offloading requests, routes them to registered surrogate back-ends by
@@ -67,13 +35,20 @@ type BackendInfo = router.BackendInfo
 // loop, DESIGN.md §5–§6) republishes snapshots under its own small
 // mutex. The pick policy (round-robin, least-inflight, or
 // power-of-two-choices) is fixed at construction.
+//
+// The control plane is the embedded router.Control, so its levers are
+// the router's own methods, documented once there.
 type FrontEnd struct {
+	router.Control
+
 	log trace.Sink
 	// processingDelay artificially reproduces the paper's ≈150 ms
 	// front-end overhead when non-zero (useful for demos; tests keep
 	// it 0).
 	processingDelay time.Duration
 
+	// rt is the same router as Control, held concretely for the data
+	// plane (Pick, Release, CountDrop, Stats) the hot path calls.
 	rt *router.Router
 
 	// coldAfter/coldStart are the scale-to-zero knobs (WithColdPool):
@@ -83,9 +58,9 @@ type FrontEnd struct {
 	coldStart time.Duration
 
 	// observer, when set, receives every backend hop's outcome — the
-	// passive signal feed of the failure detector. Atomic so the hot
-	// path reads it lock-free.
-	observer atomic.Pointer[Observer]
+	// passive signal feed of the failure detector. Written once in New;
+	// late binding goes through an ObserverRef.
+	observer Observer
 
 	// idem deduplicates retried and hedged re-sends of keyed requests,
 	// so a side-effecting task never executes twice for one logical
@@ -116,83 +91,6 @@ type sinkCounters interface {
 	SinkErrors() int64
 }
 
-// Policy reports the front-end's pick policy.
-func (f *FrontEnd) Policy() router.Policy { return f.rt.Policy() }
-
-// Register adds a surrogate base URL under an acceleration group. A URL
-// currently draining in the same group is re-activated in place (the
-// un-drain path: a scale-up arriving before the drain completed), so
-// flapping never loses a warm backend.
-func (f *FrontEnd) Register(group int, baseURL string) error {
-	return f.rt.Register(group, baseURL)
-}
-
-// RegisterVersion registers a backend carrying a version label — the
-// selector the canary pick policy ("canary:v2=0.05") splits traffic
-// on. Everything else matches Register.
-func (f *FrontEnd) RegisterVersion(group int, baseURL, version string) error {
-	return f.rt.RegisterVersion(group, baseURL, version)
-}
-
-// Drain fences a backend off from new requests; in-flight requests
-// complete normally. Draining an already-draining backend is a no-op.
-func (f *FrontEnd) Drain(group int, baseURL string) error {
-	return f.rt.Drain(group, baseURL)
-}
-
-// Inflight reports a backend's current in-flight request count.
-func (f *FrontEnd) Inflight(group int, baseURL string) (int, error) {
-	return f.rt.Inflight(group, baseURL)
-}
-
-// Remove deregisters an idle backend. It fails with ErrBackendBusy while
-// requests are still in flight — drain first, then retry; the
-// front-end never abandons accepted work.
-func (f *FrontEnd) Remove(group int, baseURL string) error {
-	return f.rt.Remove(group, baseURL)
-}
-
-// Eject fences a suspected-unhealthy backend off from new requests,
-// reversibly — the failure detector's lever (DESIGN.md §7).
-func (f *FrontEnd) Eject(group int, baseURL string) error {
-	return f.rt.Eject(group, baseURL)
-}
-
-// Reinstate returns an ejected backend to rotation.
-func (f *FrontEnd) Reinstate(group int, baseURL string) error {
-	return f.rt.Reinstate(group, baseURL)
-}
-
-// Evict unconditionally deregisters a backend, in-flight requests or
-// not — the repair path for a confirmed-dead backend whose accepted
-// work is already lost.
-func (f *FrontEnd) Evict(group int, baseURL string) error {
-	return f.rt.Evict(group, baseURL)
-}
-
-// SetBackendTimeout bounds the proxy hop to backends registered after
-// the call (0 keeps the rpc default).
-//
-// Deprecated: pass WithBackendTimeout to New instead — a front-end
-// should be fully configured before it serves traffic. Kept for the
-// accelcloud façade's compatibility surface only.
-func (f *FrontEnd) SetBackendTimeout(d time.Duration) {
-	f.rt.SetClientTimeout(d)
-}
-
-// SetObserver installs the per-request outcome hook (nil uninstalls).
-//
-// Deprecated: pass WithObserver to New — with an ObserverRef when the
-// observer is constructed after the front-end. Kept for the accelcloud
-// façade's compatibility surface only.
-func (f *FrontEnd) SetObserver(ob Observer) {
-	if ob == nil {
-		f.observer.Store(nil)
-		return
-	}
-	f.observer.Store(&ob)
-}
-
 // SweepCold parks every backend that has been idle (no in-flight or
 // queued work, no Release) for at least the WithColdPool threshold —
 // the scale-to-zero janitor. Daemons call it on a ticker; hermetic
@@ -206,35 +104,13 @@ func (f *FrontEnd) SweepCold(now time.Time) int {
 	return f.rt.MarkIdleCold(f.coldAfter, now)
 }
 
-// TakeActivations drains the per-group cold-start activation counts
-// accumulated since the previous call — the autoscale controller reads
-// them once per slot into Decision.Activated. Nil when nothing
-// activated.
-func (f *FrontEnd) TakeActivations() map[int]int64 {
-	return f.rt.TakeActivations()
-}
-
 // ColdStartLatency reports the configured per-activation latency (the
 // cost the autoscale model charges per activation).
 func (f *FrontEnd) ColdStartLatency() time.Duration { return f.coldStart }
 
-// Region reports the front-end's configured region name ("" when
-// unregioned).
-func (f *FrontEnd) Region() string { return f.region }
-
 // Spilled reports how many cross-region requests this front-end has
 // absorbed: arrivals whose Origin named a different home region.
 func (f *FrontEnd) Spilled() int64 { return f.spilled.Load() }
-
-// Backends reports the registered groups and backend counts (active and
-// draining alike — they are all still serving or finishing work).
-func (f *FrontEnd) Backends() map[int]int { return f.rt.Backends() }
-
-// Pool snapshots one group's backends in registration order.
-func (f *FrontEnd) Pool(group int) []BackendInfo { return f.rt.Pool(group) }
-
-// ActiveCount reports how many of a group's backends accept new work.
-func (f *FrontEnd) ActiveCount(group int) int { return f.rt.ActiveCount(group) }
 
 // Handler serves the front-end protocol:
 //
@@ -260,14 +136,14 @@ func (f *FrontEnd) Handler() http.Handler {
 		}
 		sort.Ints(groups)
 		payload := struct {
-			Routed   int64                 `json:"routed"`
-			Dropped  int64                 `json:"dropped"`
-			Policy   string                `json:"policy"`
-			Region   string                `json:"region,omitempty"`
-			Spilled  int64                 `json:"spilled"`
-			Groups   []int                 `json:"groups"`
-			Backends map[int]int           `json:"backends"`
-			Pools    map[int][]BackendInfo `json:"pools"`
+			Routed   int64                        `json:"routed"`
+			Dropped  int64                        `json:"dropped"`
+			Policy   string                       `json:"policy"`
+			Region   string                       `json:"region,omitempty"`
+			Spilled  int64                        `json:"spilled"`
+			Groups   []int                        `json:"groups"`
+			Backends map[int]int                  `json:"backends"`
+			Pools    map[int][]router.BackendInfo `json:"pools"`
 			// Trace-sink health: records shed by a full async buffer
 			// and sink append failures. Zero unless the sink exposes
 			// counters (trace.Async does).
@@ -430,8 +306,8 @@ func (f *FrontEnd) offloadOnce(ctx context.Context, req rpc.OffloadRequest) (rpc
 		// queue-full marker for the client's re-route retry.
 		return rpc.OffloadResponse{Error: err.Error()}, http.StatusServiceUnavailable
 	}
-	if ob := f.observer.Load(); ob != nil {
-		(*ob)(req.Group, picked.URL(), err, backendTotalMs)
+	if f.observer != nil {
+		f.observer(req.Group, picked.URL(), err, backendTotalMs)
 	}
 	if err != nil {
 		return rpc.OffloadResponse{Error: err.Error()}, http.StatusBadGateway
@@ -488,17 +364,12 @@ func (f *FrontEnd) offloadOnce(ctx context.Context, req rpc.OffloadRequest) (rpc
 	}, http.StatusOK
 }
 
-// BinaryServer builds the framed-protocol front door: the same
-// Offload core behind binary frames on a raw TCP listener, with batch
-// frames fanned out per call by the wire server.
-func (f *FrontEnd) BinaryServer() *wire.Server {
-	return &wire.Server{H: wire.Handlers{Offload: f.Offload}}
-}
-
 // ServeBinary serves the framed protocol on lis until the listener
-// fails or the returned server is Closed.
+// fails or the returned server is Closed: the same Offload core behind
+// binary frames on a raw TCP listener, with batch frames fanned out per
+// call by the wire server.
 func (f *FrontEnd) ServeBinary(lis net.Listener) (*wire.Server, error) {
-	srv := f.BinaryServer()
+	srv := &wire.Server{H: wire.Handlers{Offload: f.Offload}}
 	go func() { _ = srv.Serve(lis) }()
 	return srv, nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"accelcloud/internal/dalvik"
+	"accelcloud/internal/router"
 	"accelcloud/internal/rpc"
 	"accelcloud/internal/sim"
 	"accelcloud/internal/tasks"
@@ -69,13 +70,13 @@ func TestFrontEndPoolLifecycle(t *testing.T) {
 	if got := fe.ActiveCount(1); got != 1 {
 		t.Fatalf("active = %d after un-drain", got)
 	}
-	if err := fe.Drain(2, b.srv.URL); !errors.Is(err, ErrUnknownBackend) {
+	if err := fe.Drain(2, b.srv.URL); !errors.Is(err, router.ErrUnknownBackend) {
 		t.Fatalf("drain of unknown backend: %v", err)
 	}
 	if err := fe.Remove(1, b.srv.URL); err != nil {
 		t.Fatal(err)
 	}
-	if err := fe.Remove(1, b.srv.URL); !errors.Is(err, ErrUnknownBackend) {
+	if err := fe.Remove(1, b.srv.URL); !errors.Is(err, router.ErrUnknownBackend) {
 		t.Fatalf("second remove: %v", err)
 	}
 	if len(fe.Pool(1)) != 0 {
@@ -129,7 +130,7 @@ func TestFrontEndRemoveRefusesInFlight(t *testing.T) {
 	if err := fe.Drain(1, slow.URL); err != nil {
 		t.Fatal(err)
 	}
-	if err := fe.Remove(1, slow.URL); !errors.Is(err, ErrBackendBusy) {
+	if err := fe.Remove(1, slow.URL); !errors.Is(err, router.ErrBackendBusy) {
 		t.Fatalf("remove with in-flight work: %v", err)
 	}
 	release <- struct{}{}

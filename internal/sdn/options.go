@@ -11,13 +11,8 @@ import (
 	"accelcloud/internal/trace"
 )
 
-// Option configures a FrontEnd at construction. The functional-options
-// constructor New replaces the historical positional constructors
-// (NewFrontEnd, NewFrontEndWithPolicy) and post-hoc mutators
-// (SetObserver, SetBackendTimeout): a built front-end is fully
-// configured before it serves its first request, and new serving knobs
-// (queueing, batching, cold pools) land as options instead of another
-// constructor variant.
+// Option configures a FrontEnd at construction: a built front-end is
+// fully configured before it serves its first request.
 type Option func(*config) error
 
 type config struct {
@@ -168,7 +163,7 @@ func WithMetrics(reg *obs.Registry) Option {
 
 // New builds a front-end from functional options. Zero options give a
 // round-robin router with no trace sink, no queueing, and no cold
-// pool — the historical NewFrontEnd(nil, 0) behaviour.
+// pool.
 func New(opts ...Option) (*FrontEnd, error) {
 	var c config
 	for _, opt := range opts {
@@ -185,15 +180,14 @@ func New(opts ...Option) (*FrontEnd, error) {
 		return nil, err
 	}
 	f := &FrontEnd{
+		Control:         rt,
 		log:             c.log,
 		processingDelay: c.routeDelay,
 		rt:              rt,
 		coldAfter:       c.coldAfter,
 		coldStart:       c.coldStart,
+		observer:        c.observer,
 		region:          c.region,
-	}
-	if c.observer != nil {
-		f.observer.Store(&c.observer)
 	}
 	if c.metrics != nil {
 		f.metrics = newFeMetrics(c.metrics, f)

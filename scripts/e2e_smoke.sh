@@ -139,7 +139,7 @@ echo "== canary-weighted front-end: 25% of picks to the v2 backend =="
 # Surrogate-2's HTTP listener doubles as the v2 canary next to
 # surrogate-1's stable registration; the canary policy stripes picks
 # deterministically at the configured weight.
-"$BIN/sdnd" -listen 127.0.0.1:9105 -canary v2=0.25 \
+"$BIN/sdnd" -listen 127.0.0.1:9105 -policy canary:v2=0.25 \
   -backend-timeout 2s \
   -backend 1=http://127.0.0.1:9101 \
   -backend 1=http://127.0.0.1:9102@v2 &
