@@ -18,7 +18,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"accelcloud/internal/rpc"
@@ -38,14 +38,15 @@ type Stats struct {
 	Rejected int64 `json:"rejected"`
 }
 
-// Surrogate is one Dalvik-x86-like execution server.
+// Surrogate is one Dalvik-x86-like execution server. Its execute path
+// takes no lock: the counters are atomics, and the registry is an
+// immutable map that Push replaces.
 type Surrogate struct {
 	name     string
 	maxProcs int
 
-	mu       sync.Mutex
-	registry map[string]tasks.Task
-	stats    Stats
+	registry                   atomic.Pointer[map[string]tasks.Task]
+	executed, failed, rejected atomic.Int64
 
 	// slots is a counting semaphore for worker processes.
 	slots chan struct{}
@@ -60,12 +61,9 @@ func NewSurrogate(name string, maxProcs int) (*Surrogate, error) {
 	if maxProcs <= 0 {
 		maxProcs = DefaultMaxProcs
 	}
-	return &Surrogate{
-		name:     name,
-		maxProcs: maxProcs,
-		registry: make(map[string]tasks.Task),
-		slots:    make(chan struct{}, maxProcs),
-	}, nil
+	s := &Surrogate{name: name, maxProcs: maxProcs, slots: make(chan struct{}, maxProcs)}
+	s.registry.Store(&map[string]tasks.Task{})
+	return s, nil
 }
 
 // Name reports the surrogate identifier.
@@ -78,14 +76,21 @@ func (s *Surrogate) Push(t tasks.Task) error {
 	if t == nil {
 		return errors.New("dalvik: nil task")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	name := t.Name()
-	if _, dup := s.registry[name]; dup {
-		return fmt.Errorf("dalvik: task %q already pushed", name)
+	for {
+		old := s.registry.Load()
+		if _, dup := (*old)[name]; dup {
+			return fmt.Errorf("dalvik: task %q already pushed", name)
+		}
+		next := make(map[string]tasks.Task, len(*old)+1)
+		for k, v := range *old {
+			next[k] = v
+		}
+		next[name] = t
+		if s.registry.CompareAndSwap(old, &next) {
+			return nil
+		}
 	}
-	s.registry[name] = t
-	return nil
 }
 
 // PushPool registers every task of a pool.
@@ -104,10 +109,9 @@ func (s *Surrogate) PushPool(p *tasks.Pool) error {
 
 // Installed lists the pushed bundle names, sorted.
 func (s *Surrogate) Installed() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.registry))
-	for name := range s.registry {
+	reg := *s.registry.Load()
+	out := make([]string, 0, len(reg))
+	for name := range reg {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -116,9 +120,7 @@ func (s *Surrogate) Installed() []string {
 
 // Stats returns a copy of the counters.
 func (s *Surrogate) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{Executed: s.executed.Load(), Failed: s.failed.Load(), Rejected: s.rejected.Load()}
 }
 
 // Execute runs one serialized application state on a worker slot,
@@ -128,35 +130,24 @@ func (s *Surrogate) Execute(st tasks.State) (tasks.Result, time.Duration, error)
 	select {
 	case s.slots <- struct{}{}:
 	default:
-		s.mu.Lock()
-		s.stats.Rejected++
-		s.mu.Unlock()
+		s.rejected.Add(1)
 		return tasks.Result{}, 0, fmt.Errorf("dalvik: %s: all %d worker slots busy", s.name, s.maxProcs)
 	}
 	defer func() { <-s.slots }()
 
-	s.mu.Lock()
-	task, ok := s.registry[st.Task]
-	s.mu.Unlock()
+	task, ok := (*s.registry.Load())[st.Task]
 	if !ok {
-		s.mu.Lock()
-		s.stats.Failed++
-		s.mu.Unlock()
+		s.failed.Add(1)
 		return tasks.Result{}, 0, fmt.Errorf("dalvik: %s: %w: %q", s.name, tasks.ErrUnknownTask, st.Task)
 	}
 	start := time.Now()
 	res, err := run(task, st)
 	elapsed := time.Since(start)
-	s.mu.Lock()
 	if err != nil {
-		s.stats.Failed++
-	} else {
-		s.stats.Executed++
-	}
-	s.mu.Unlock()
-	if err != nil {
+		s.failed.Add(1)
 		return tasks.Result{}, elapsed, fmt.Errorf("dalvik: %s: %w", s.name, err)
 	}
+	s.executed.Add(1)
 	return res, elapsed, nil
 }
 
@@ -229,15 +220,11 @@ func (s *Surrogate) Handler() http.Handler {
 		rpc.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "server": s.name})
 	})
 	mux.HandleFunc(rpc.PathStats, func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		payload := struct {
+		rpc.WriteJSON(w, http.StatusOK, struct {
 			Server    string   `json:"server"`
 			Stats     Stats    `json:"stats"`
 			Installed []string `json:"installed"`
-		}{Server: s.name, Stats: s.stats}
-		s.mu.Unlock()
-		payload.Installed = s.Installed()
-		rpc.WriteJSON(w, http.StatusOK, payload)
+		}{Server: s.name, Stats: s.Stats(), Installed: s.Installed()})
 	})
 	return mux
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"accelcloud/internal/rpc"
@@ -213,5 +215,126 @@ func TestHTTPHandler(t *testing.T) {
 	// Unknown task travels back as a remote error.
 	if _, err := client.Execute(ctx, rpc.ExecuteRequest{State: tasks.State{Task: "ghost"}}); err == nil {
 		t.Fatal("unknown task should error")
+	}
+}
+
+// named is a task under any name that always succeeds.
+type named struct {
+	tasks.Fibonacci
+	name string
+}
+
+func (n named) Name() string { return n.name }
+
+func (n named) Execute(tasks.State) (tasks.Result, error) {
+	return tasks.Result{Task: n.name, Ops: 1}, nil
+}
+
+// gated holds its worker slot until open is closed.
+type gated struct {
+	tasks.Fibonacci
+	entered, open chan struct{}
+}
+
+func (gated) Name() string { return "gated" }
+
+func (g gated) Execute(tasks.State) (tasks.Result, error) {
+	g.entered <- struct{}{}
+	<-g.open
+	return tasks.Result{Task: "gated", Ops: 1}, nil
+}
+
+// TestStatsExactUnderConcurrentPush: 64 goroutines run good, unknown-task
+// and slot-rejected calls while Push adds tasks; every call's outcome, as
+// its caller sees it, is counted exactly once in Stats.
+func TestStatsExactUnderConcurrentPush(t *testing.T) {
+	const slots, callers, calls, pushes = 4, 64, 40, 32
+	s, err := NewSurrogate("x", slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gated{entered: make(chan struct{}), open: make(chan struct{})}
+	for _, task := range []tasks.Task{g, tasks.Fibonacci{}} {
+		if err := s.Push(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fib, err := tasks.Fibonacci{}.Generate(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executed, failed, rejected atomic.Int64
+	count := func(err error) {
+		switch {
+		case err == nil:
+			executed.Add(1)
+		case strings.Contains(err.Error(), "worker slots busy"):
+			rejected.Add(1)
+		default:
+			failed.Add(1)
+		}
+	}
+	// storm runs the callers while Push adds the round's extra tasks; they
+	// call fibonacci, extra tasks whether pushed yet or not, and a name
+	// that never is.
+	storm := func(round int) {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pushes; i++ {
+				if err := s.Push(named{name: fmt.Sprintf("extra-%d-%d", round, i)}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					st := fib
+					switch (c + i) % 3 {
+					case 1:
+						st = tasks.State{Task: fmt.Sprintf("extra-%d-%d", round, (c*i)%(2*pushes))}
+					case 2:
+						st = tasks.State{Task: "ghost"}
+					}
+					_, _, err := s.Execute(st)
+					count(err)
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+
+	// Round 0 runs with every slot held, so all of its calls are rejected.
+	holders := make(chan error, slots)
+	for i := 0; i < slots; i++ {
+		go func() {
+			_, _, err := s.Execute(tasks.State{Task: "gated"})
+			holders <- err
+		}()
+		<-g.entered
+	}
+	storm(0)
+	close(g.open)
+	for i := 0; i < slots; i++ {
+		count(<-holders)
+	}
+	if got := rejected.Load(); got != callers*calls {
+		t.Fatalf("with every slot held, %d of %d calls were rejected", got, callers*calls)
+	}
+	storm(1)
+
+	want := Stats{Executed: executed.Load(), Failed: failed.Load(), Rejected: rejected.Load()}
+	if got := s.Stats(); got != want {
+		t.Fatalf("Stats = %+v, callers saw %+v", got, want)
+	}
+	if want.Executed <= slots || want.Failed == 0 {
+		t.Fatalf("the storm did not run every outcome: %+v", want)
+	}
+	if n := len(s.Installed()); n != 2+2*pushes {
+		t.Fatalf("%d tasks installed, want %d", n, 2+2*pushes)
 	}
 }

@@ -201,6 +201,11 @@ func (s *countingSurrogate) run(ctx context.Context, call wire.ExecuteRequest) w
 		<-ctx.Done()
 		return wire.ExecuteResponse{}
 	}
+	// A member of a batch whose connection was cut can start after hold
+	// is cleared; its answer can no longer arrive, so it is not a run.
+	if ctx.Err() != nil {
+		return wire.ExecuteResponse{}
+	}
 	s.mu.Lock()
 	s.ran[call.State.Size]++
 	s.mu.Unlock()

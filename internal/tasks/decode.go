@@ -78,9 +78,10 @@ func (fs *fieldSet) bind(into any) {
 	}
 }
 
-// decodeState decodes data into the state type behind into and reports
-// whether it did. On false, into has not been written.
-func decodeState(data []byte, into any) bool {
+// decodeState decodes data into the state type behind into, its arrays
+// taken from a, and reports whether it did. On false, into has not been
+// written.
+func decodeState(a *arena, data []byte, into any) bool {
 	var fs fieldSet
 	fs.bind(into)
 	if fs.n == 0 {
@@ -112,9 +113,9 @@ func decodeState(data []byte, into any) bool {
 			case *string:
 				f.s, i = scanString(data, i)
 			case *[]int:
-				f.is, i = scanArray(data, i, scanInt)
+				f.is, i = scanArray(data, i, scanInt, a.intSlice)
 			case *[]float64:
-				f.fs, i = scanArray(data, i, scanFloat)
+				f.fs, i = scanArray(data, i, scanFloat, a.floatSlice)
 			default:
 				return false
 			}
@@ -300,9 +301,9 @@ func scanString(data []byte, i int) (string, int) {
 }
 
 // scanArray decodes a flat array of numbers. It counts the elements first
-// and allocates the slice once, sized from the bytes present; an empty
-// array yields an empty non-nil slice, as encoding/json does.
-func scanArray[T int | float64](data []byte, i int, elem func([]byte, int) (T, int)) ([]T, int) {
+// and takes the slice from alloc once, sized from the bytes present; an
+// empty array yields an empty non-nil slice, as encoding/json does.
+func scanArray[T int | float64](data []byte, i int, elem func([]byte, int) (T, int), alloc func(int) []T) ([]T, int) {
 	if i == len(data) || data[i] != '[' {
 		return nil, -1
 	}
@@ -316,7 +317,7 @@ func scanArray[T int | float64](data []byte, i int, elem func([]byte, int) (T, i
 		return nil, -1
 	}
 	n := bytes.Count(data[i:i+end], comma) + 1
-	out := make([]T, n)
+	out := alloc(n)
 	for k := range out {
 		if k > 0 {
 			if i == len(data) || data[i] != ',' {

@@ -3,8 +3,10 @@ package tasks
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -45,37 +47,47 @@ const prefill = `{"values":[7,8],"board":[1],"m":5,"k":6,"turn":2,"depth":3,"n":
 	`"a":[1.5],"b":[2.5],"capacity":4,"weights":[3],"limit":11,"re":[0.5],"im":[0.25],` +
 	`"model":"x","batch":2,"in":[1],"load":true}`
 
+// dirtyArena is reused, and poisoned on reset, across every input the
+// decoder tests feed it.
+var dirtyArena = new(arena)
+
 // checkMatchesJSON decodes data into every state type, zeroed and
-// prefilled, through unmarshalState and through plain json.Unmarshal,
-// and requires the same error and the same target.
+// prefilled, through unmarshalState — arrays from the heap and from
+// dirtyArena — and through plain json.Unmarshal, and requires the same
+// error and the same target.
 func checkMatchesJSON(t *testing.T, data []byte) {
 	t.Helper()
 	for _, ty := range stateTypes {
-		for _, filled := range []bool{false, true} {
-			got, want := ty.fresh(), ty.fresh()
-			if filled {
-				for _, target := range []any{got, want} {
-					if err := json.Unmarshal([]byte(prefill), target); err != nil {
-						t.Fatal(err)
+		for _, a := range []*arena{nil, dirtyArena} {
+			for _, filled := range []bool{false, true} {
+				got, want := ty.fresh(), ty.fresh()
+				if filled {
+					for _, target := range []any{got, want} {
+						if err := json.Unmarshal([]byte(prefill), target); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-			}
-			gotErr := unmarshalState(State{Task: "t", Data: data}, "t", got)
-			wantErr := json.Unmarshal(data, want)
-			switch {
-			case (gotErr == nil) != (wantErr == nil):
-				t.Errorf("%s (prefilled %v) %q: unmarshalState error %v, json.Unmarshal error %v",
-					ty.name, filled, data, gotErr, wantErr)
-			case gotErr != nil && gotErr.Error() != "tasks: unmarshal t state: "+wantErr.Error():
-				t.Errorf("%s (prefilled %v) %q: unmarshalState error %q does not wrap json.Unmarshal's %q",
-					ty.name, filled, data, gotErr, wantErr)
-			}
-			// DeepEqual tells nil from empty; the re-encoding tells -0 from 0.
-			gotJSON, _ := json.Marshal(got)
-			wantJSON, _ := json.Marshal(want)
-			if !reflect.DeepEqual(got, want) || !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("%s (prefilled %v) %q:\nunmarshalState %+v\njson.Unmarshal %+v",
-					ty.name, filled, data, got, want)
+				gotErr := unmarshalState(a, State{Task: "t", Data: data}, "t", got)
+				wantErr := json.Unmarshal(data, want)
+				switch {
+				case (gotErr == nil) != (wantErr == nil):
+					t.Errorf("%s (prefilled %v, arena %v) %q: unmarshalState error %v, json.Unmarshal error %v",
+						ty.name, filled, a != nil, data, gotErr, wantErr)
+				case gotErr != nil && gotErr.Error() != "tasks: unmarshal t state: "+wantErr.Error():
+					t.Errorf("%s (prefilled %v, arena %v) %q: unmarshalState error %q does not wrap json.Unmarshal's %q",
+						ty.name, filled, a != nil, data, gotErr, wantErr)
+				}
+				// DeepEqual tells nil from empty; the re-encoding tells -0 from 0.
+				gotJSON, _ := json.Marshal(got)
+				wantJSON, _ := json.Marshal(want)
+				if !reflect.DeepEqual(got, want) || !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("%s (prefilled %v, arena %v) %q:\nunmarshalState %+v\njson.Unmarshal %+v",
+						ty.name, filled, a != nil, data, got, want)
+				}
+				if a != nil {
+					a.reset()
+				}
 			}
 		}
 	}
@@ -159,7 +171,7 @@ func TestStateDecodeMatchesJSON(t *testing.T) {
 	for _, c := range decodeCases {
 		t.Run(c.name, func(t *testing.T) {
 			checkMatchesJSON(t, []byte(c.data))
-			if fast := decodeState([]byte(c.data), freshState(t, c.ty)); fast != c.fast {
+			if fast := decodeState(nil, []byte(c.data), freshState(t, c.ty)); fast != c.fast {
 				t.Errorf("decodeState(%s, %q) handled = %v, want %v", c.ty, c.data, fast, c.fast)
 			}
 		})
@@ -171,7 +183,7 @@ func TestStateDecodeMatchesJSON(t *testing.T) {
 		}
 		for n := 0; n < len(st.Data); n++ {
 			checkMatchesJSON(t, st.Data[:n])
-			if decodeState(st.Data[:n], new(sortState)) {
+			if decodeState(nil, st.Data[:n], new(sortState)) {
 				t.Errorf("decodeState accepted the truncated %q", st.Data[:n])
 			}
 		}
@@ -257,7 +269,7 @@ func TestGeneratedStatesTakeFastPath(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
 		for _, g := range generated(t, r) {
-			if !decodeState(g.st.Data, g.into) {
+			if !decodeState(nil, g.st.Data, g.into) {
 				t.Fatalf("%s(%d): the fast path declined a generated state: %.80s",
 					g.st.Task, g.st.Size, g.st.Data)
 			}
@@ -272,8 +284,9 @@ func TestGeneratedStatesTakeFastPath(t *testing.T) {
 	}
 }
 
-// TestStateDecodeAllocations: decoding allocates one object per slice
-// field (and one per non-empty string) and nothing else.
+// TestStateDecodeAllocations: decoding into the heap allocates one object
+// per slice field (and one per non-empty string) and nothing else; into a
+// warm arena it allocates nothing.
 func TestStateDecodeAllocations(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
@@ -283,50 +296,92 @@ func TestStateDecodeAllocations(t *testing.T) {
 		"quicksort": 1, "bubblesort": 1, "mergesort": 1, "minimax": 1, "nqueens": 0,
 		"fibonacci": 0, "matmul": 2, "knapsack": 2, "sieve": 0, "fft": 2,
 	}
+	warm := new(arena)
 	for _, e := range executeSizes {
 		st, err := e.task.Generate(r, e.size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		into := e.into()
-		n := testing.AllocsPerRun(100, func() {
-			if err := unmarshalState(st, st.Task, into); err != nil {
-				t.Fatal(err)
+		for _, a := range []*arena{nil, warm} {
+			want := budget[st.Task]
+			if a != nil {
+				want = 0
 			}
-		})
-		if n != budget[st.Task] {
-			t.Errorf("decoding a %s(%d) state allocates %.1f, want %.0f", st.Task, e.size, n, budget[st.Task])
+			n := testing.AllocsPerRun(100, func() {
+				if err := unmarshalState(a, st, st.Task, into); err != nil {
+					t.Fatal(err)
+				}
+				if a != nil {
+					a.reset()
+				}
+			})
+			if n != want {
+				t.Errorf("decoding a %s(%d) state (arena %v) allocates %.1f, want %.0f", st.Task, e.size, a != nil, n, want)
+			}
 		}
 	}
 }
 
-// TestExecuteAllocationBudget bounds a whole Execute: the state struct,
-// its slices, and the result's encoding/json marshal.
+// resultSlack is what one Execute may allocate beyond its Result.Data
+// bytes: the state struct (it escapes through the decoder's any), the
+// boxed result struct json.Marshal takes, the closures of the recursive
+// kernels, and size-class rounding.
+const resultSlack = 192
+
+// TestExecuteAllocationBudget bounds a whole Execute of each compute_open
+// task once its arena is warm: three allocations (state struct, boxed
+// result, marshalled bytes), and no more bytes than the marshalled result
+// plus resultSlack.
 func TestExecuteAllocationBudget(t *testing.T) {
 	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
-	sorted, err := Quicksort{}.Generate(rand.New(rand.NewSource(3)), 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		task   Task
-		st     State
-		budget float64
-	}{
-		{Fibonacci{}, State{Task: "fibonacci", Size: 1, Data: []byte(`{"n":1}`)}, 3},
-		{Quicksort{}, sorted, 5},
-	} {
-		n := testing.AllocsPerRun(100, func() {
-			if _, err := c.task.Execute(c.st); err != nil {
+	const allocBudget = 3
+	r := rand.New(rand.NewSource(3))
+	for _, e := range executeSizes {
+		st, err := e.task.Generate(r, e.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.task.Execute(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs, size := perRun(50, func() {
+			if _, err := e.task.Execute(st); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if n > c.budget {
-			t.Errorf("%s.Execute allocates %.1f, budget %.0f", c.st.Task, n, c.budget)
+		if allocs > allocBudget {
+			t.Errorf("%s(%d).Execute allocates %.1f times, budget %d", st.Task, e.size, allocs, allocBudget)
+		}
+		if limit := float64(len(res.Data) + resultSlack); size > limit {
+			t.Errorf("%s(%d).Execute allocates %.0f B, budget %.0f (%d B of result + %d)",
+				st.Task, e.size, size, limit, len(res.Data), resultSlack)
 		}
 	}
+}
+
+// perRun reports f's mean heap allocations and bytes per call over runs
+// calls at GOMAXPROCS 1, after one warm-up call. It keeps the best of
+// three tries: a GC in the middle of one empties the arena pool, and the
+// arena that replaces it grows again.
+func perRun(runs int, f func()) (allocs, size float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	allocs, size = math.Inf(1), math.Inf(1)
+	var before, after runtime.MemStats
+	for try := 0; try < 3; try++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs)/float64(runs))
+		size = min(size, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return allocs, size
 }
 
 // TestHostileStatesAreErrors: well-formed states whose numbers used to
@@ -356,6 +411,8 @@ var benchResult Result
 // BenchmarkExecute times one Execute per task at the benchmark's sizes;
 // MB/s is state bytes reconstructed and executed per second.
 func BenchmarkExecute(b *testing.B) {
+	defer func(p bool) { poisonArenas = p }(poisonArenas)
+	poisonArenas = false
 	r := rand.New(rand.NewSource(2))
 	for _, e := range executeSizes {
 		st, err := e.task.Generate(r, e.size)

@@ -68,9 +68,11 @@ func (Minimax) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Minimax) Execute(st State) (Result, error) {
+func (t Minimax) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Minimax) run(a *arena, st State) (Result, error) {
 	var in minimaxState
-	if err := unmarshalState(st, "minimax", &in); err != nil {
+	if err := unmarshalState(a, st, "minimax", &in); err != nil {
 		return Result{}, err
 	}
 	if in.M < 1 || in.M > maxMinimaxM || len(in.Board) != in.M*in.M {
@@ -216,9 +218,11 @@ func (NQueens) Generate(_ *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (NQueens) Execute(st State) (Result, error) {
+func (t NQueens) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (NQueens) run(a *arena, st State) (Result, error) {
 	var in nqueensState
-	if err := unmarshalState(st, "nqueens", &in); err != nil {
+	if err := unmarshalState(a, st, "nqueens", &in); err != nil {
 		return Result{}, err
 	}
 	if in.N < 1 || in.N > 16 {

@@ -180,9 +180,11 @@ func (t Inference) weights(load bool) []float64 {
 }
 
 // Execute implements Task: a ReLU MLP forward pass over the batch.
-func (t Inference) Execute(st State) (Result, error) {
+func (t Inference) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (t Inference) run(a *arena, st State) (Result, error) {
 	var in inferenceState
-	if err := unmarshalState(st, t.Name(), &in); err != nil {
+	if err := unmarshalState(a, st, t.Name(), &in); err != nil {
 		return Result{}, err
 	}
 	m := t.Model
@@ -197,9 +199,9 @@ func (t Inference) Execute(st State) (Result, error) {
 	if in.Load {
 		ops += int64(float64(t.Params()) * m.LoadFactor)
 	}
-	scores := make([]float64, in.Batch)
-	act := make([]float64, m.Hidden)
-	next := make([]float64, m.Hidden)
+	scores := a.floatSlice(in.Batch)
+	act := a.floatSlice(m.Hidden)
+	next := a.floatSlice(m.Hidden)
 	for b := 0; b < in.Batch; b++ {
 		x := in.In[b*m.In : (b+1)*m.In]
 		// Input projection In → Hidden.
@@ -272,7 +274,7 @@ func (t Inference) LoadWork() float64 {
 // doesn't.
 func MarkSessionStart(st *State) error {
 	var in inferenceState
-	if err := unmarshalState(*st, st.Task, &in); err != nil {
+	if err := unmarshalState(nil, *st, st.Task, &in); err != nil {
 		return err
 	}
 	in.Load = true
@@ -288,7 +290,7 @@ func MarkSessionStart(st *State) error {
 // a session).
 func ClearSessionStart(st *State) error {
 	var in inferenceState
-	if err := unmarshalState(*st, st.Task, &in); err != nil {
+	if err := unmarshalState(nil, *st, st.Task, &in); err != nil {
 		return err
 	}
 	in.Load = false

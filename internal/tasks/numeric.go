@@ -3,6 +3,7 @@ package tasks
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 )
@@ -35,9 +36,11 @@ func (Fibonacci) Generate(_ *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Fibonacci) Execute(st State) (Result, error) {
+func (t Fibonacci) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Fibonacci) run(a *arena, st State) (Result, error) {
 	var in fibState
-	if err := unmarshalState(st, "fibonacci", &in); err != nil {
+	if err := unmarshalState(a, st, "fibonacci", &in); err != nil {
 		return Result{}, err
 	}
 	if in.N < 0 {
@@ -109,16 +112,18 @@ func (MatMul) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (MatMul) Execute(st State) (Result, error) {
+func (t MatMul) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (MatMul) run(a *arena, st State) (Result, error) {
 	var in matmulState
-	if err := unmarshalState(st, "matmul", &in); err != nil {
+	if err := unmarshalState(a, st, "matmul", &in); err != nil {
 		return Result{}, err
 	}
 	n := in.N
 	if n < 1 || n > maxMatMulN || len(in.A) != n*n || len(in.B) != n*n {
 		return Result{}, fmt.Errorf("tasks: matmul n=%d with %d/%d elements", n, len(in.A), len(in.B))
 	}
-	c := make([]float64, n*n)
+	c := a.floatSlice(n * n)
 	var ops int64
 	for i := 0; i < n; i++ {
 		for kk := 0; kk < n; kk++ {
@@ -190,9 +195,11 @@ func (Knapsack) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Knapsack) Execute(st State) (Result, error) {
+func (t Knapsack) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Knapsack) run(a *arena, st State) (Result, error) {
 	var in knapsackState
-	if err := unmarshalState(st, "knapsack", &in); err != nil {
+	if err := unmarshalState(a, st, "knapsack", &in); err != nil {
 		return Result{}, err
 	}
 	if len(in.Weights) != len(in.Values) {
@@ -204,7 +211,7 @@ func (Knapsack) Execute(st State) (Result, error) {
 	if in.Capacity > maxKnapsackCapacity {
 		return Result{}, fmt.Errorf("tasks: knapsack capacity %d > %d", in.Capacity, maxKnapsackCapacity)
 	}
-	dp := make([]int, in.Capacity+1)
+	dp := a.intSlice(in.Capacity + 1)
 	var ops int64
 	for i, w := range in.Weights {
 		v := in.Values[i]
@@ -261,9 +268,11 @@ func (Sieve) Generate(_ *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Sieve) Execute(st State) (Result, error) {
+func (t Sieve) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Sieve) run(a *arena, st State) (Result, error) {
 	var in sieveState
-	if err := unmarshalState(st, "sieve", &in); err != nil {
+	if err := unmarshalState(a, st, "sieve", &in); err != nil {
 		return Result{}, err
 	}
 	if in.Limit < 0 {
@@ -275,22 +284,23 @@ func (Sieve) Execute(st State) (Result, error) {
 	if in.Limit < 2 {
 		return marshalResult("sieve", 1, sieveResult{Primes: 0})
 	}
-	composite := make([]bool, in.Limit)
+	// One bit per number: bit q%64 of composite[q/64] marks q composite.
+	limit := uint(in.Limit)
+	composite := a.wordSlice(int((limit + 63) / 64))
 	var ops int64
-	for p := 2; p*p < in.Limit; p++ {
-		if composite[p] {
+	for p := uint(2); p*p < limit; p++ {
+		if composite[p/64]&(1<<(p%64)) != 0 {
 			continue
 		}
-		for q := p * p; q < in.Limit; q += p {
-			composite[q] = true
+		for q := p * p; q < limit; q += p {
+			composite[q/64] |= 1 << (q % 64)
 			ops++
 		}
 	}
-	count := 0
-	for p := 2; p < in.Limit; p++ {
-		if !composite[p] {
-			count++
-		}
+	// Only the composites in [4, limit) are marked.
+	count := in.Limit - 2
+	for _, w := range composite {
+		count -= bits.OnesCount64(w)
 	}
 	return marshalResult("sieve", ops, sieveResult{Primes: count})
 }
@@ -339,16 +349,18 @@ func (FFT) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (FFT) Execute(st State) (Result, error) {
+func (t FFT) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (FFT) run(a *arena, st State) (Result, error) {
 	var in fftState
-	if err := unmarshalState(st, "fft", &in); err != nil {
+	if err := unmarshalState(a, st, "fft", &in); err != nil {
 		return Result{}, err
 	}
 	n := len(in.Re)
 	if n == 0 || n&(n-1) != 0 || len(in.Im) != n {
 		return Result{}, fmt.Errorf("tasks: fft needs power-of-two matched re/im, got %d/%d", n, len(in.Im))
 	}
-	xs := make([]complex128, n)
+	xs := a.complexSlice(n)
 	for i := range xs {
 		xs[i] = complex(in.Re[i], in.Im[i])
 	}

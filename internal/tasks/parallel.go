@@ -64,9 +64,11 @@ func (ParMatMul) Parallelism(size int) int {
 }
 
 // Execute implements Task with a real goroutine worker pool.
-func (t ParMatMul) Execute(st State) (Result, error) {
+func (t ParMatMul) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (t ParMatMul) run(a *arena, st State) (Result, error) {
 	var in matmulState
-	if err := unmarshalState(st, "parmatmul", &in); err != nil {
+	if err := unmarshalState(a, st, "parmatmul", &in); err != nil {
 		return Result{}, err
 	}
 	n := in.N
@@ -80,7 +82,7 @@ func (t ParMatMul) Execute(st State) (Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	c := make([]float64, n*n)
+	c := a.floatSlice(n * n)
 	ops := make([]int64, workers)
 	var wg sync.WaitGroup
 	rowsPer := (n + workers - 1) / workers

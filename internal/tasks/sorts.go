@@ -57,9 +57,11 @@ func (Quicksort) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Quicksort) Execute(st State) (Result, error) {
+func (t Quicksort) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Quicksort) run(a *arena, st State) (Result, error) {
 	var in sortState
-	if err := unmarshalState(st, "quicksort", &in); err != nil {
+	if err := unmarshalState(a, st, "quicksort", &in); err != nil {
 		return Result{}, err
 	}
 	xs := in.Values
@@ -132,9 +134,11 @@ func (Bubblesort) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Bubblesort) Execute(st State) (Result, error) {
+func (t Bubblesort) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Bubblesort) run(a *arena, st State) (Result, error) {
 	var in sortState
-	if err := unmarshalState(st, "bubblesort", &in); err != nil {
+	if err := unmarshalState(a, st, "bubblesort", &in); err != nil {
 		return Result{}, err
 	}
 	xs := in.Values
@@ -173,13 +177,15 @@ func (Mergesort) Generate(r *rand.Rand, size int) (State, error) {
 }
 
 // Execute implements Task.
-func (Mergesort) Execute(st State) (Result, error) {
+func (t Mergesort) Execute(st State) (Result, error) { return execute(st, t.run) }
+
+func (Mergesort) run(a *arena, st State) (Result, error) {
 	var in sortState
-	if err := unmarshalState(st, "mergesort", &in); err != nil {
+	if err := unmarshalState(a, st, "mergesort", &in); err != nil {
 		return Result{}, err
 	}
 	xs := in.Values
-	buf := make([]int, len(xs))
+	buf := a.intSlice(len(xs))
 	var ops int64
 	var ms func(lo, hi int)
 	ms = func(lo, hi int) {

@@ -146,11 +146,14 @@ func marshalState(task string, size int, data any) (State, error) {
 	return State{Task: task, Size: size, Data: raw}, nil
 }
 
-func unmarshalState(st State, task string, into any) error {
+// unmarshalState decodes st into the state struct behind into; the fast
+// path takes the arrays from a (nil: the heap), the encoding/json
+// fallback always from the heap.
+func unmarshalState(a *arena, st State, task string, into any) error {
 	if st.Task != task {
 		return fmt.Errorf("tasks: state for %q routed to %q", st.Task, task)
 	}
-	if decodeState(st.Data, into) {
+	if decodeState(a, st.Data, into) {
 		return nil
 	}
 	// Whatever the fast path declined, valid or not, is encoding/json's.
