@@ -158,6 +158,78 @@ func TestBinaryHedgedCallHonoursTheDeadline(t *testing.T) {
 	}
 }
 
+// TestHedgedCallJoinsItsLosingLane: no lane of a hedged call outlives
+// it, so the caller may overwrite the request's State.Data as soon as
+// the call returns. Each call's primary hangs until its hedge arrives,
+// the hedge wins, and the hung primary is then answered with a 502,
+// which its retry budget re-sends at once — encoding the request again
+// (the re-send, like every later call for the id, is answered at once).
+// Had the call returned without joining that lane, the re-send would
+// read State.Data while the caller overwrites it: a race the detector
+// reports, and a request that reaches the server with the caller's
+// new bytes in it.
+func TestHedgedCallJoinsItsLosingLane(t *testing.T) {
+	testkit.NoLeak(t)
+	const calls = 200
+	var mu sync.Mutex
+	hedgeIn := map[int]chan struct{}{} // per call: closed when its hedge arrives
+	var torn atomic.Int64
+	url := serveWire(t, wire.Handlers{Offload: func(ctx context.Context, req wire.OffloadRequest) (wire.OffloadResponse, int) {
+		if req.State.Data[0] != byte(req.UserID) || req.State.Data[len(req.State.Data)-1] != byte(req.UserID) {
+			torn.Add(1)
+		}
+		mu.Lock()
+		arrived, primary := hedgeIn[req.UserID]
+		if primary = !primary; primary {
+			arrived = make(chan struct{})
+			hedgeIn[req.UserID] = arrived
+		} else {
+			select {
+			case <-arrived:
+			default:
+				close(arrived)
+			}
+		}
+		mu.Unlock()
+		if !primary {
+			return wire.OffloadResponse{Server: "hedge", Group: req.Group}, http.StatusOK
+		}
+		select {
+		case <-arrived:
+		case <-ctx.Done():
+		}
+		return wire.OffloadResponse{Error: "primary released"}, http.StatusBadGateway
+	}})
+	c := NewClient(url, WithTimeout(10*time.Second), WithHedge(&HedgePolicy{Delay: time.Millisecond}),
+		WithRetry(NewRetryPolicy(3, time.Nanosecond, time.Nanosecond, 1)))
+	data := make([]byte, 256)
+	for i := 0; i < calls; i++ {
+		id := i % 250
+		for j := range data {
+			data[j] = byte(id)
+		}
+		resp, err := c.Offload(context.Background(), OffloadRequest{UserID: id, Group: 1, BatteryLevel: 0.5,
+			State: tasks.State{Task: "hedged", Data: data}})
+		if err != nil || resp.Server != "hedge" {
+			t.Fatalf("call %d: %+v, %v", i, resp, err)
+		}
+		for j := range data {
+			data[j] = 0xff // the caller's bytes again, right after the call
+		}
+		mu.Lock()
+		delete(hedgeIn, id)
+		mu.Unlock()
+	}
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d requests reached the server with bytes the caller wrote after its call returned", n)
+	}
+	// Every call hedged; some primaries' re-sends ran after their hedge
+	// won (the rest were cancelled in time).
+	if st := c.Stats(); st.Hedges != calls || st.HedgeWins == 0 || st.Retries == 0 {
+		t.Fatalf("stats %+v, want %d hedges, some wins and some re-sends", st, calls)
+	}
+}
+
 // TestBinaryRetriesStopAtTheDeadline: a backend that keeps failing is
 // retried only while the call's deadline allows. The caller gets the
 // last attempt's error — the backend's 502, or DeadlineExceeded if the

@@ -250,7 +250,10 @@ func call[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], i
 
 // hedged races a primary attempt chain against a second one launched
 // after the hedge delay. Each lane returns its own value, so the lanes
-// share nothing; the winner's is returned.
+// share nothing; the winner's is returned. The loser is cancelled and
+// joined before hedged returns, so no lane outlives the call: a caller
+// may reuse in (and the bytes it points to) as soon as the call is
+// over.
 func hedged[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp], deadline time.Time, in Req) (Resp, error) {
 	lctx, lcancel := context.WithCancel(ctx)
 	defer lcancel()
@@ -291,8 +294,12 @@ func hedged[Req, Resp any](ctx context.Context, c *Client, m *method[Req, Resp],
 				if l.hedge && !primaryResolved {
 					c.hedgeWins.Add(1)
 				}
-				// The losing lane is cancelled by the deferred lcancel
-				// and drains into the buffered channel.
+				// Cancel the losing lane, if one is still running, and
+				// wait for it: a cancelled attempt returns promptly.
+				lcancel()
+				for ; finished < launched; finished++ {
+					<-results
+				}
 				return l.out, nil
 			}
 			if firstErr == nil {

@@ -46,7 +46,8 @@ func TestOversizedBodyIsBadRequest(t *testing.T) {
 // TestDecodedDataSurvivesLaterCalls: every hop of a JSON offload reads
 // its body into a pooled buffer, so the Result.Data a caller kept and
 // the copy the idempotency cache kept must stay byte-identical while
-// 1 000 further calls recycle those buffers.
+// 1 000 further calls recycle those buffers. Over bin:// only the
+// servers' request frames are pooled; the client side stays unpooled.
 func TestDecodedJSONDataSurvivesLaterCalls(t *testing.T) {
 	front, executes, _ := countingCluster(t, 0)
 	client := rpc.NewClient(front.URL)

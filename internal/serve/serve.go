@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -205,7 +206,13 @@ func (q *Queue) Submit(ctx context.Context, req rpc.ExecuteRequest) (rpc.Execute
 // SubmitTimed is Submit plus the job's queue-wait/linger breakdown —
 // the serving layer's contribution to a request-scoped trace span.
 // The Timing is zero when the call failed before dispatch.
+//
+// The queue owns what it holds: an admitted job can outlive this call
+// (it returns on ctx.Done while the job stays queued, and a dispatcher
+// may already be reading it), so req.State.Data is copied here and the
+// caller may reuse its bytes as soon as SubmitTimed returns.
 func (q *Queue) SubmitTimed(ctx context.Context, req rpc.ExecuteRequest) (rpc.ExecuteResponse, Timing, error) {
+	req.State.Data = bytes.Clone(req.State.Data)
 	j := &job{ctx: ctx, req: req, done: make(chan result, 1), enq: time.Now()}
 	q.mu.RLock()
 	select {
@@ -269,9 +276,11 @@ func (q *Queue) Close() {
 func (q *Queue) dispatch() {
 	defer q.wg.Done()
 	var carry *job // heterogeneous job that closed the previous batch
-	// buf backs every batch this dispatcher runs; run is done with a
-	// batch when it returns, so the slice is cleared and reused.
+	// buf and reqs back every batch this dispatcher runs; run is done
+	// with both when it returns (ExecuteBatch returns only once every
+	// hedged lane has), so they are cleared and reused.
 	buf := make([]*job, 0, max(q.cfg.MaxBatch, 1))
+	reqs := make([]rpc.ExecuteRequest, 0, max(q.cfg.MaxBatch, 1))
 	for {
 		var lead *job
 		if carry != nil {
@@ -289,8 +298,9 @@ func (q *Queue) dispatch() {
 		if q.cfg.MaxBatch > 1 {
 			batch, carry = q.fill(batch)
 		}
-		q.run(batch)
+		q.run(batch, reqs)
 		clear(batch)
+		clear(reqs[:cap(reqs)])
 	}
 }
 
@@ -320,8 +330,9 @@ func (q *Queue) fill(batch []*job) (full []*job, carry *job) {
 }
 
 // run executes a batch: singletons via Execute, larger batches via one
-// ExecuteBatch round trip whose responses fan back out in order.
-func (q *Queue) run(batch []*job) {
+// ExecuteBatch round trip, sent from reqs, whose responses fan back out
+// in order.
+func (q *Queue) run(batch []*job, reqs []rpc.ExecuteRequest) {
 	// Drop members whose caller already gave up (their Submit returned
 	// ctx.Err()): executing them wastes a backend slot, and a dead job
 	// elected batch lead would sink the whole batch with its cancelled
@@ -358,11 +369,8 @@ func (q *Queue) run(batch []*job) {
 	}
 	q.batches.Add(1)
 	q.coalesced.Add(int64(len(live)))
-	// reqs, unlike batch, is fresh per dispatch: a hedged executor's
-	// losing lane may still be encoding it after ExecuteBatch returns.
-	reqs := make([]rpc.ExecuteRequest, len(live))
-	for i, j := range live {
-		reqs[i] = j.req
+	for _, j := range live {
+		reqs = append(reqs, j.req)
 	}
 	// The batch rides the (live) lead job's context: its deadline
 	// covers the whole dispatch.

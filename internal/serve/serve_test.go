@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"accelcloud/internal/rpc"
 	"accelcloud/internal/tasks"
@@ -500,4 +502,63 @@ func TestSubmitTimedZeroOnReject(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
+}
+
+// keepExec keeps the State.Data of every request it executes.
+type keepExec struct {
+	mu   sync.Mutex
+	kept [][]byte
+}
+
+func (k *keepExec) Execute(_ context.Context, r rpc.ExecuteRequest) (rpc.ExecuteResponse, error) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.kept = append(k.kept, r.State.Data)
+	return rpc.ExecuteResponse{}, nil
+}
+
+func (k *keepExec) ExecuteBatch(ctx context.Context, rs []rpc.ExecuteRequest) ([]rpc.ExecuteResponse, error) {
+	for _, r := range rs {
+		_, _ = k.Execute(ctx, r)
+	}
+	return make([]rpc.ExecuteResponse, len(rs)), nil
+}
+
+// TestQueueOwnsWhatItHolds: Submit copies the state it admits, alone or
+// batched, so a job never shares bytes with its caller — who may hand
+// them back to a pool as soon as Submit returns, even while the job is
+// still queued.
+func TestQueueOwnsWhatItHolds(t *testing.T) {
+	ex := &keepExec{}
+	q, err := New(Config{Limit: 1, Depth: 16, MaxBatch: 4, Linger: time.Millisecond}, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	const calls = 12
+	sent := make([][]byte, calls)
+	var wg sync.WaitGroup
+	for i := range sent {
+		sent[i] = []byte{byte(i), 1, 2, 3}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := q.Submit(context.Background(), rpc.ExecuteRequest{State: tasks.State{Task: "t", Data: sent[i]}}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(ex.kept) != calls {
+		t.Fatalf("%d executions, want %d", len(ex.kept), calls)
+	}
+	for _, got := range ex.kept {
+		i := int(got[0])
+		if !bytes.Equal(got, sent[i]) {
+			t.Fatalf("call %d executed with %v, sent %v", i, got, sent[i])
+		}
+		if unsafe.SliceData(got) == unsafe.SliceData(sent[i]) {
+			t.Fatalf("call %d executed on its caller's bytes", i)
+		}
+	}
 }

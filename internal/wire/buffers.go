@@ -12,11 +12,16 @@ import (
 // borrowed it: outbound payloads are encoded into pooled scratch and
 // copied into the connection's write buffer before the write returns,
 // and name strings are shared because strings are immutable. Inbound
-// payloads are the opposite case — decoded State.Data and Result.Data
-// alias them and callers keep those slices — so ReadFrame allocates
-// each one fresh and nothing here ever takes it back.
+// payloads differ by side. A Server reads each request frame into
+// pooled scratch and takes it back once the dispatch that served it
+// has returned and its reply is written, so a handler's decoded
+// State.Data is valid only until the handler returns (see Handlers).
+// A Conn's read loop hands its response frames to callers who keep
+// the decoded Result.Data, so there ReadFrame allocates each payload
+// fresh and nothing here ever takes it back.
 
-// scratch is a pooled encode buffer for one outbound payload.
+// scratch is a pooled buffer for one outbound payload or one inbound
+// request frame.
 type scratch struct{ b []byte }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -25,12 +30,24 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // state does not pin its buffer forever.
 const maxScratch = 1 << 20
 
+// poisonFrames makes release overwrite the whole buffer before pooling
+// it, so a slice kept past its release reads garbage instead of bytes
+// that merely happen to survive. Only tests set it.
+var poisonFrames bool
+
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// release returns the buffer once the frame carrying it is written.
+// release returns the buffer once the frame carrying it is written, or
+// once the dispatch that read it has returned.
 func (s *scratch) release() {
 	if cap(s.b) > maxScratch {
 		return
+	}
+	if poisonFrames {
+		b := s.b[:cap(s.b)]
+		for i := range b {
+			b[i] = 0xdb
+		}
 	}
 	s.b = s.b[:0]
 	scratchPool.Put(s)
@@ -38,10 +55,11 @@ func (s *scratch) release() {
 
 // batchSlots are the call and result slices of one inbound execute
 // batch: the server decodes the calls into one, the handler fills the
-// other, and both go back to the pool once the reply is written. Only
-// the slices are reused — each call's State.Data still aliases the
-// unpooled inbound payload — and release zeroes every element first,
-// so a pooled slice keeps no State or Result reachable.
+// other, and both go back to the pool once the reply is written. Each
+// call's State.Data aliases the frame's pooled payload, which goes back
+// only after these slots do; release zeroes every element first, so a
+// pooled slice keeps no State or Result, nor a recycled frame,
+// reachable.
 type batchSlots struct {
 	calls []ExecuteRequest
 	out   []ExecuteResponse

@@ -94,7 +94,9 @@ func NewConn(nc net.Conn, max int) *Conn {
 // retryable (a fresh dial may reach a healthy peer).
 func (c *Conn) readLoop() {
 	for {
-		f, err := ReadFrame(c.br, c.maxFrame)
+		// Callers keep what they decode from a response, so its
+		// payload is read fresh, never into a recycled buffer.
+		f, err := ReadFrame(c.br, c.maxFrame, nil)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 			return

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame is one decoded protocol frame.
@@ -136,14 +137,18 @@ const readChunk = 64 << 10
 
 // ReadFrame reads one frame from a buffered stream. The declared
 // length is capped at max (0 selects DefaultMaxFrame) before anything
-// is allocated, and the payload buffer grows chunk by chunk as bytes
-// arrive, so a peer declaring a huge frame and stalling cannot make
-// the reader pre-allocate the declared size. The header is parsed in
-// the reader's own buffer, so only the payload is allocated — a frame
-// without one (a ping, its answer) allocates nothing — and the caller
-// owns that payload outright: it is never reused for a later frame.
+// is allocated, and the payload grows chunk by chunk as bytes arrive,
+// so a peer declaring a huge frame and stalling cannot make the reader
+// pre-allocate the declared size. The header is parsed in the reader's
+// own buffer, so a frame without a payload (a ping, its answer) touches
+// no memory of the caller's.
+//
+// The payload is read into buf's backing array, grown as needed (so it
+// may be a new one; cap(f.Payload) is then the grown buffer), and
+// aliases it: a caller that recycles buf must be done with the frame
+// first. A nil buf gives a fresh payload the caller owns outright.
 // io.EOF is returned unwrapped on a clean end of stream.
-func ReadFrame(br *bufio.Reader, max int) (Frame, error) {
+func ReadFrame(br *bufio.Reader, max int, buf []byte) (Frame, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
@@ -175,11 +180,11 @@ func ReadFrame(br *bufio.Reader, max int) (Frame, error) {
 	if size == 0 {
 		return f, nil
 	}
-	payload := make([]byte, 0, min(size, readChunk))
+	payload := buf[:0]
 	for len(payload) < size {
-		chunk := min(size-len(payload), readChunk)
 		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
+		end := start + min(size-start, readChunk)
+		payload = slices.Grow(payload, end-start)[:end]
 		if _, err := io.ReadFull(br, payload[start:]); err != nil {
 			return Frame{}, fmt.Errorf("%w: body truncated: %v", ErrShortFrame, err)
 		}

@@ -172,6 +172,39 @@ func TestDecodeFrameOversized(t *testing.T) {
 	}
 }
 
+// dirtyBuf is the reused read buffer of the differential checks. It is
+// refilled with garbage before every read, so a reader that trusted
+// bytes already in its buffer would diverge from a fresh read.
+var dirtyBuf []byte
+
+// readDirty reads one frame from br into dirtyBuf, refilled with
+// garbage first, and keeps whatever the read grew for the next call.
+func readDirty(br *bufio.Reader, max int) (Frame, error) {
+	junk := dirtyBuf[:cap(dirtyBuf)]
+	for i := range junk {
+		junk[i] = byte(0xa5 ^ i)
+	}
+	f, err := ReadFrame(br, max, dirtyBuf)
+	if f.Payload != nil {
+		dirtyBuf = f.Payload[:0]
+	}
+	return f, err
+}
+
+// sameRead fails t unless a read into a dirty reused buffer and a fresh
+// read of b agree exactly: the same frame, the same error.
+func sameRead(t *testing.T, b []byte, max int) {
+	t.Helper()
+	want, werr := ReadFrame(bufio.NewReader(bytes.NewReader(b)), max, nil)
+	got, err := readDirty(bufio.NewReader(bytes.NewReader(b)), max)
+	if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("dirty-buffer read differs from a fresh read:\n got %+v, %v\nwant %+v, %v", got, err, want, werr)
+	}
+}
+
+// TestReadFrameMatchesDecodeFrame: a stream of every golden frame reads
+// back frame for frame, both fresh and through one reused buffer full of
+// garbage, which starts too small and grows along the way.
 func TestReadFrameMatchesDecodeFrame(t *testing.T) {
 	frames := goldenFrames()
 	var stream []byte
@@ -183,18 +216,31 @@ func TestReadFrameMatchesDecodeFrame(t *testing.T) {
 	for _, name := range names {
 		stream = AppendFrame(stream, frames[name])
 	}
-	br := bufio.NewReader(bytes.NewReader(stream))
-	for _, name := range names {
-		got, err := ReadFrame(br, 0)
-		if err != nil {
-			t.Fatalf("%s: ReadFrame: %v", name, err)
+	dirtyBuf = make([]byte, 0, 3)
+	reads := map[string]func(*bufio.Reader, int) (Frame, error){
+		"fresh": func(br *bufio.Reader, max int) (Frame, error) { return ReadFrame(br, max, nil) },
+		"dirty": readDirty,
+	}
+	for mode, read := range reads {
+		br := bufio.NewReader(bytes.NewReader(stream))
+		for _, name := range names {
+			got, err := read(br, 0)
+			if err != nil {
+				t.Fatalf("%s %s: ReadFrame: %v", mode, name, err)
+			}
+			if !reflect.DeepEqual(got, frames[name]) {
+				t.Fatalf("%s %s: stream decode mismatch\n got %+v\nwant %+v", mode, name, got, frames[name])
+			}
 		}
-		if !reflect.DeepEqual(got, frames[name]) {
-			t.Fatalf("%s: stream decode mismatch\n got %+v\nwant %+v", name, got, frames[name])
+		if _, err := read(br, 0); err != io.EOF {
+			t.Fatalf("%s: want clean io.EOF at stream end, got %v", mode, err)
 		}
 	}
-	if _, err := ReadFrame(br, 0); err != io.EOF {
-		t.Fatalf("want clean io.EOF at stream end, got %v", err)
+	for _, name := range names {
+		full := AppendFrame(nil, frames[name])
+		for i := 0; i <= len(full); i++ {
+			sameRead(t, full[:i], 0)
+		}
 	}
 }
 
@@ -208,7 +254,7 @@ func TestReadFrameRejectsOversizedBeforeReading(t *testing.T) {
 		bytes.NewReader(declared[:2]), // length prefix (2-byte uvarint for this size)
 		readerFunc(func([]byte) (int, error) { return 0, errors.New("body read attempted") }),
 	))
-	if _, err := ReadFrame(br, 1024); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrame(br, 1024, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge before body read, got %v", err)
 	}
 }
@@ -221,7 +267,7 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 	full := AppendFrame(nil, Frame{Type: FrameRequest, Flags: MethodOffload, StreamID: 1,
 		Payload: make([]byte, 1000)})
 	br := bufio.NewReader(bytes.NewReader(full[:len(full)/2]))
-	if _, err := ReadFrame(br, 0); !errors.Is(err, ErrShortFrame) {
+	if _, err := ReadFrame(br, 0, nil); !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("want ErrShortFrame, got %v", err)
 	}
 }
@@ -229,22 +275,37 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 func TestReadFrameAllocationBounded(t *testing.T) {
 	// A peer declaring a near-cap frame and then stalling must not make
 	// the reader pre-allocate the declared size: allocation grows with
-	// bytes received (64 KiB chunks), not with the lie.
+	// bytes received (64 KiB chunks), not with the lie — whether the
+	// payload is read fresh or into a pooled buffer.
 	var prefix [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(prefix[:], uint64(DefaultMaxFrame-1))
-	r := bufio.NewReader(io.MultiReader(
-		bytes.NewReader(prefix[:n]),
-		bytes.NewReader(make([]byte, 100)), // 100 real bytes, then EOF
-	))
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	if _, err := ReadFrame(r, 0); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("want ErrShortFrame, got %v", err)
+	lie := func() *bufio.Reader {
+		return bufio.NewReader(io.MultiReader(
+			bytes.NewReader(prefix[:n]),
+			bytes.NewReader(make([]byte, 100)), // 100 real bytes, then EOF
+		))
 	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Fatalf("reader allocated %d bytes for a %d-byte lie backed by 100 real bytes", grew, DefaultMaxFrame-1)
+	for _, tc := range []struct {
+		name  string
+		buf   []byte
+		bound uint64
+	}{
+		{"fresh", nil, 1 << 20},
+		// A warm pooled buffer grows by at most one chunk.
+		{"pooled", make([]byte, 0, 4<<10), readChunk + 1<<10},
+	} {
+		r := lie()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := ReadFrame(r, 0, tc.buf); !errors.Is(err, ErrShortFrame) {
+			t.Fatalf("%s: want ErrShortFrame, got %v", tc.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > tc.bound {
+			t.Fatalf("%s: reader allocated %d bytes for a %d-byte lie backed by 100 real bytes, bound %d",
+				tc.name, grew, DefaultMaxFrame-1, tc.bound)
+		}
 	}
 }
 

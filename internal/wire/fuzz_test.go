@@ -13,7 +13,8 @@ import (
 // contract: for arbitrary bytes the decoder must never panic and never
 // allocate past its cap, and anything it does accept must re-encode to
 // a frame it decodes identically (decode∘encode = id on the accepted
-// set). The seed corpus under testdata/fuzz/FuzzDecodeFrame holds one
+// set). The stream reader must also return the same frame and error
+// reading into a reused buffer full of garbage as reading fresh. The seed corpus under testdata/fuzz/FuzzDecodeFrame holds one
 // valid encoding per frame kind plus known-tricky headers; run with
 // `go test -fuzz=FuzzDecodeFrame ./internal/wire/` to explore further.
 func FuzzDecodeFrame(f *testing.F) {
@@ -25,6 +26,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0x05, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
+		// The stream reader agrees with itself whatever its buffer held.
+		sameRead(t, b, 1<<20)
 		fr, n, err := DecodeFrame(b, 1<<20)
 		if err != nil {
 			return

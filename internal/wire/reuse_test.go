@@ -43,7 +43,7 @@ type callHooks struct {
 func (p *scriptedPeer) serve() {
 	br := bufio.NewReader(p.nc)
 	for {
-		f, err := ReadFrame(br, 0)
+		f, err := ReadFrame(br, 0, nil)
 		if err != nil {
 			return
 		}

@@ -15,6 +15,14 @@ import (
 )
 
 // Handlers are the application callbacks a Server dispatches to.
+//
+// A request's payload-backed fields — State.Data of an OffloadRequest
+// or ExecuteRequest — alias the inbound frame, which the Server reads
+// into a pooled buffer and recycles once the handler has returned and
+// its reply is written. They are valid until the handler returns; a
+// handler that keeps them longer (queues them, hands them to a
+// goroutine that outlives it) must copy them. Strings are never
+// affected: decoding copies or interns them.
 type Handlers struct {
 	// Offload serves one offload call, returning the response and its
 	// HTTP-equivalent status code (200 on success) — the same pair the
@@ -30,8 +38,8 @@ type Handlers struct {
 	// ExecuteBatch serves one execute-batch frame: it fills out[i] with
 	// the answer to calls[i] (len(out) == len(calls)), each member's
 	// failure in its own Error field. Both slices are pooled and cleared
-	// once the reply is written, so the handler must not keep them;
-	// the State.Data it was handed stays valid.
+	// once the reply is written, so the handler must not keep them nor,
+	// uncopied, the State.Data they carry.
 	ExecuteBatch func(ctx context.Context, calls []ExecuteRequest, out []ExecuteResponse)
 }
 
@@ -58,11 +66,14 @@ type Server struct {
 	loops sync.WaitGroup
 }
 
-// job is one inbound frame on its way to a dispatch worker.
+// job is one inbound frame on its way to a dispatch worker. in holds
+// the frame's payload and goes back to the pool once the dispatch has
+// returned.
 type job struct {
 	ctx context.Context
 	w   *frameWriter
 	f   Frame
+	in  *scratch
 }
 
 // closeWait bounds how long Close waits for connection loops to exit.
@@ -82,7 +93,10 @@ func (s *Server) Serve(lis net.Listener) error {
 	s.lis = append(s.lis, lis)
 	if s.conns == nil {
 		s.conns = make(map[net.Conn]context.CancelFunc)
-		s.pool = workers.New(func(j job) { s.dispatch(j.ctx, j.w, j.f) })
+		s.pool = workers.New(func(j job) {
+			s.dispatch(j.ctx, j.w, j.f)
+			j.in.release()
+		})
 	}
 	s.mu.Unlock()
 	for {
@@ -167,8 +181,18 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	w := &frameWriter{nc: nc}
 	for {
-		f, err := ReadFrame(br, s.MaxFrame)
+		// Take a buffer only once the next frame has started to arrive,
+		// so an idle connection pins none.
+		if _, err := br.Peek(1); err != nil {
+			return // the connection ended or broke between frames
+		}
+		in := getScratch()
+		f, err := ReadFrame(br, s.MaxFrame, in.b)
+		if f.Payload != nil {
+			in.b = f.Payload[:0] // keep what the read grew
+		}
 		if err != nil {
+			in.release()
 			// An undecodable or oversized frame leaves the stream
 			// position unknowable; report on stream 0 and drop the
 			// connection. A clean EOF or cancelled context just ends.
@@ -178,7 +202,7 @@ func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 			}
 			return
 		}
-		s.pool.Go(job{ctx: ctx, w: w, f: f})
+		s.pool.Go(job{ctx: ctx, w: w, f: f, in: in})
 	}
 }
 
